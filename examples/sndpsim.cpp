@@ -25,9 +25,6 @@
 //                           to a serial run — determinism is tested)
 //       --stats-json FILE   write full per-run stats as sndp-sweep-v1 JSON
 //       --timeout SECONDS   abort any single run past this wall-clock budget
-//       --partitions N      parallel-in-time execution: shard one run across
-//                           N threads (hub + stack groups), bit-identical to
-//                           serial; 1 (default) = serial path
 //       --no-ff             disable idle fast-forward (naive edge-by-edge
 //                           stepping; results are bit-identical, only slower)
 //       --no-audit          disable the flow-conservation stats audit
@@ -59,12 +56,19 @@
 //       --nsu-quota N       per-tenant NSU warp-slot quota (0 = off)
 //       --credit-share F    per-tenant NoC credit cap as a fraction of each
 //                           pool (0 = off)
+//
+// A malformed flag or numeric value prints the usage text and exits 2; a
+// configuration SystemConfig::validate() rejects prints why and exits 2.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sndp.h"
@@ -95,7 +99,6 @@ struct Options {
   bool profile = true;
   std::string profile_csv;
   bool latency = true;
-  unsigned partitions = 1;
   unsigned latency_sample = 64;
   std::string epoch_csv;
   std::string trace_path;
@@ -112,7 +115,6 @@ struct Options {
                "          [--sms N] [--hmcs N] [--nsu-mhz N] [--seed N] "
                "[--ro-cache] [--optimal-target] [--stats] [--csv FILE]\n"
                "          [-j JOBS] [--stats-json FILE] [--timeout SECONDS] [--no-ff]\n"
-               "          [--partitions N]\n"
                "          [--no-audit] [--no-profile] [--profile-csv FILE]\n"
                "          [--no-latency] [--latency-sample N]\n"
                "          [--epoch-csv FILE] [--trace FILE]\n"
@@ -120,6 +122,20 @@ struct Options {
                "           [--nsu-quota N] [--credit-share F]]\n",
                argv0);
   std::exit(2);
+}
+
+// The whole of `text` as a T, or the usage text and exit 2: garbage,
+// trailing characters, a sign on an unsigned value, overflow and non-finite
+// floats are all refused.
+template <typename T>
+T number_or_usage(const std::string& text, const char* argv0) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) usage(argv0);
+  return value;
 }
 
 // With -w all, one CSV per workload: insert the name before the extension.
@@ -141,7 +157,9 @@ bool write_profile_csv(const std::string& path, const CycleStackSummary& cs) {
   std::fprintf(out, "component,row,bucket,cycles\n");
   if (cs.enabled) {
     auto row_name = [&](unsigned row) {
-      return row == cs.tenants ? std::string("shared") : "t" + std::to_string(row);
+      // (append, not "t" + ...: GCC 12 -O3 raises a false -Wrestrict there)
+      return row == cs.tenants ? std::string("shared")
+                               : std::string("t").append(std::to_string(row));
     };
     for (unsigned row = 0; row < cs.sm.rows.size(); ++row) {
       for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
@@ -187,6 +205,11 @@ Options parse(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
+  auto num_u = [&](const std::string& s) { return number_or_usage<unsigned>(s, argv[0]); };
+  auto num_u64 = [&](const std::string& s) {
+    return number_or_usage<std::uint64_t>(s, argv[0]);
+  };
+  auto num_f = [&](const std::string& s) { return number_or_usage<double>(s, argv[0]); };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "-w" || a == "--workload") {
@@ -206,17 +229,17 @@ Options parse(int argc, char** argv) {
       else if (m == "dyn-cache") o.mode = OffloadMode::kDynamicCache;
       else usage(argv[0]);
     } else if (a == "-r" || a == "--ratio") {
-      o.ratio = std::stod(need_value(i));
+      o.ratio = num_f(need_value(i));
     } else if (a == "-e" || a == "--epoch") {
-      o.epoch = std::stoull(need_value(i));
+      o.epoch = num_u64(need_value(i));
     } else if (a == "--sms") {
-      o.sms = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.sms = num_u(need_value(i));
     } else if (a == "--hmcs") {
-      o.hmcs = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.hmcs = num_u(need_value(i));
     } else if (a == "--nsu-mhz") {
-      o.nsu_mhz = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.nsu_mhz = num_u(need_value(i));
     } else if (a == "--seed") {
-      o.seed = std::stoull(need_value(i));
+      o.seed = num_u64(need_value(i));
     } else if (a == "--ro-cache") {
       o.ro_cache = true;
     } else if (a == "--optimal-target") {
@@ -226,17 +249,13 @@ Options parse(int argc, char** argv) {
     } else if (a == "--csv") {
       o.csv = need_value(i);
     } else if (a == "-j" || a == "--jobs") {
-      o.jobs = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.jobs = num_u(need_value(i));
     } else if (a == "--stats-json") {
       o.stats_json = need_value(i);
     } else if (a == "--timeout") {
-      o.timeout_s = std::stod(need_value(i));
+      o.timeout_s = num_f(need_value(i));
     } else if (a == "--no-ff") {
       o.fast_forward = false;
-    } else if (a == "--partitions") {
-      o.partitions = static_cast<unsigned>(std::stoul(need_value(i)));
-    } else if (a.rfind("--partitions=", 0) == 0) {
-      o.partitions = static_cast<unsigned>(std::stoul(a.substr(13)));
     } else if (a == "--no-audit") {
       o.audit = false;
     } else if (a == "--no-profile") {
@@ -248,9 +267,9 @@ Options parse(int argc, char** argv) {
     } else if (a == "--no-latency") {
       o.latency = false;
     } else if (a == "--latency-sample") {
-      o.latency_sample = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.latency_sample = num_u(need_value(i));
     } else if (a.rfind("--latency-sample=", 0) == 0) {
-      o.latency_sample = static_cast<unsigned>(std::stoul(a.substr(17)));
+      o.latency_sample = num_u(a.substr(17));
     } else if (a == "--epoch-csv") {
       o.epoch_csv = need_value(i);
     } else if (a.rfind("--epoch-csv=", 0) == 0) {
@@ -268,9 +287,9 @@ Options parse(int argc, char** argv) {
       else if (arb == "strict") o.arbiter = TenantArbiter::kStrictPriority;
       else usage(argv[0]);
     } else if (a == "--nsu-quota") {
-      o.nsu_quota = static_cast<unsigned>(std::stoul(need_value(i)));
+      o.nsu_quota = num_u(need_value(i));
     } else if (a == "--credit-share") {
-      o.credit_share = std::stod(need_value(i));
+      o.credit_share = num_f(need_value(i));
     } else {
       usage(argv[0]);
     }
@@ -290,7 +309,6 @@ SystemConfig config_of(const Options& o) {
   cfg.nsu.read_only_cache = o.ro_cache;
   cfg.optimal_target_selection = o.optimal_target;
   cfg.fast_forward = o.fast_forward;
-  cfg.parallel_partitions = o.partitions;
   cfg.audit = o.audit;
   cfg.profile = o.profile;
   cfg.latency_trace = o.latency;
@@ -303,7 +321,7 @@ SystemConfig config_of(const Options& o) {
 }
 
 // --tenants path: NAME[:WEIGHT[:PRIORITY]] entries, one concurrent run.
-int run_tenants_main(const Options& o) {
+int run_tenants_main(const Options& o, const char* argv0) {
   struct Spec {
     std::string name;
     double weight = 1.0;
@@ -321,9 +339,9 @@ int run_tenants_main(const Options& o) {
     s.name = entry.substr(0, c1);
     if (c1 != std::string::npos) {
       const std::size_t c2 = entry.find(':', c1 + 1);
-      s.weight = std::stod(entry.substr(c1 + 1, c2 - c1 - 1));
+      s.weight = number_or_usage<double>(entry.substr(c1 + 1, c2 - c1 - 1), argv0);
       if (c2 != std::string::npos) {
-        s.priority = static_cast<unsigned>(std::stoul(entry.substr(c2 + 1)));
+        s.priority = number_or_usage<unsigned>(entry.substr(c2 + 1), argv0);
       }
     }
     specs.push_back(std::move(s));
@@ -418,8 +436,14 @@ int report_one(const Options& o, const std::string& name, const RunResult& r) {
 
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
+  try {
+    config_of(o).validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
 
-  if (!o.tenants.empty()) return run_tenants_main(o);
+  if (!o.tenants.empty()) return run_tenants_main(o, argv[0]);
 
   // All runs — one or many — go through the sweep runner, so -j parallelism,
   // per-run wall-clock timeouts, and the JSON export behave identically for

@@ -43,7 +43,6 @@ void SystemConfig::validate() const {
   // single-bit-flip edge whose endpoints both exist); the upper bound keeps
   // node ids inside the packet's 8-bit target-NSU field.
   require(num_hmcs >= 1 && num_hmcs <= 255, "HMC count must be in [1, 255]");
-  require(parallel_partitions >= 1, "parallel_partitions must be >= 1");
   require(placement.policy != PlacementPolicyKind::kMigration ||
               placement.migration_threshold >= 1,
           "migration threshold must be at least 1");
@@ -65,6 +64,16 @@ void SystemConfig::validate() const {
           "all clock frequencies must be positive");
   require(governor.epoch_cycles > 0, "epoch length must be positive");
   require(governor.step_min <= governor.step_max, "step_min must be <= step_max");
+  // The fraction checks reject NaN too: every comparison with NaN is false.
+  require(governor.static_ratio >= 0.0 && governor.static_ratio <= 1.0,
+          "static offload ratio must be in [0, 1]");
+  require(governor.initial_ratio >= 0.0 && governor.initial_ratio <= 1.0,
+          "initial offload ratio must be in [0, 1]");
+  require(static_cast<unsigned>(governor.mode) <=
+              static_cast<unsigned>(OffloadMode::kDynamicCache),
+          "unknown offload mode");
+  require(tenancy.credit_share >= 0.0 && tenancy.credit_share <= 1.0,
+          "tenant credit share must be in [0, 1]");
   require(ndp_buffers.nsu_cmd_entries >= 1, "need at least one offload command entry");
 }
 

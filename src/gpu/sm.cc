@@ -438,8 +438,8 @@ void Sm::tick(Cycle cycle, TimePs now) {
   }
 
   // Decide whether the SM can sleep (hints are maintained in both stepping
-  // modes — naive serial stepping never reads them, but a naive parallel
-  // partition paces its windows on them).  It can whenever nothing issued and no
+  // modes, so a naive run differs from a fast-forward run only in the
+  // scheduler).  It can whenever nothing issued and no
   // credit grant is being polled: every blocked ready warp then stays
   // blocked — and its retry stays side-effect-free — until either a known
   // future cycle (self_wake: exec unit frees, timed scoreboard entry

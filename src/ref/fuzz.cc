@@ -97,14 +97,12 @@ FuzzSpec generate_spec(std::uint64_t seed) {
     spec.ops.push_back(op);
   }
 
-  // Parallel-in-time axis, drawn last so pre-partition seeds keep their
-  // shape.  Mutating placements (first-touch, migration) fall back to
-  // serial anyway, so only shard the policies that actually parallelize —
-  // the run must still be byte-identical to the reference.
+  // Retired partition-count axis: its draws stay, results discarded, so
+  // every seed still maps to the case it generated when the axis existed.
   if ((spec.placement == PlacementPolicyKind::kRandom ||
        spec.placement == PlacementPolicyKind::kLocality) &&
       rng.bernoulli(0.5)) {
-    spec.partitions = rng.bernoulli(0.5) ? 4 : 2;
+    (void)rng.bernoulli(0.5);
   }
 
   // Tenant axis, drawn last of all so pre-tenant seeds keep their shape.
@@ -273,7 +271,6 @@ SystemConfig fuzz_config(const FuzzSpec& spec) {
   cfg.placement_seed = 0x5EED ^ spec.seed;
   cfg.placement.policy = spec.placement;
   cfg.placement.migration_threshold = spec.migration_threshold;
-  cfg.parallel_partitions = spec.partitions;
   if (spec.tenants > 1) {
     cfg.tenancy.arbiter = static_cast<TenantArbiter>(spec.arbiter % 3);
   }
@@ -524,7 +521,6 @@ std::string FuzzSpec::to_text() const {
   os << "hmcs " << num_hmcs << "\n";
   os << "placement " << static_cast<int>(placement) << " " << migration_threshold
      << "\n";
-  os << "partitions " << partitions << "\n";
   os << "tenants " << tenants << " " << arbiter << "\n";
   if (!op_workload.empty()) os << "opwl " << op_workload << " " << op_variant << "\n";
   for (const FuzzOp& op : ops) {
@@ -565,8 +561,10 @@ std::optional<FuzzSpec> FuzzSpec::from_text(const std::string& text) {
       ls >> kind >> spec.migration_threshold;
       spec.placement = static_cast<PlacementPolicyKind>(kind);
     } else if (key == "partitions") {
-      // Optional (absent in pre-parallel reproducers, which ran serial).
-      ls >> spec.partitions;
+      // Retired: older reproducers carry a partition count for a mode whose
+      // results were identical to serial, so the value is read and ignored.
+      unsigned ignored = 0;
+      ls >> ignored;
     } else if (key == "tenants") {
       // Optional (absent in pre-tenant reproducers, which ran one kernel).
       ls >> spec.tenants >> spec.arbiter;

@@ -1,6 +1,8 @@
 // Tests for the common layer: RNG determinism, stats, units, config.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/config.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -193,6 +195,33 @@ TEST(Config, ValidateRejectsBadShapes) {
   c = SystemConfig::paper();
   c.governor.step_min = 0.5;
   c.governor.step_max = 0.1;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+
+  // Ratios and shares are fractions: the closed ends are legal, anything
+  // outside [0, 1] (or NaN) is not.
+  for (const double ok : {0.0, 1.0}) {
+    c = SystemConfig::paper();
+    c.governor.static_ratio = ok;
+    c.governor.initial_ratio = ok;
+    c.tenancy.credit_share = ok;
+    EXPECT_NO_THROW(c.validate()) << ok;
+  }
+  for (const double bad : {-0.1, 2.5, std::numeric_limits<double>::quiet_NaN()}) {
+    c = SystemConfig::paper();
+    c.governor.static_ratio = bad;
+    EXPECT_THROW(c.validate(), std::invalid_argument) << "static_ratio " << bad;
+    c = SystemConfig::paper();
+    c.governor.initial_ratio = bad;
+    EXPECT_THROW(c.validate(), std::invalid_argument) << "initial_ratio " << bad;
+    c = SystemConfig::paper();
+    c.tenancy.credit_share = bad;
+    EXPECT_THROW(c.validate(), std::invalid_argument) << "credit_share " << bad;
+  }
+
+  c = SystemConfig::paper();
+  c.governor.mode = OffloadMode::kDynamicCache;  // the last valid mode
+  EXPECT_NO_THROW(c.validate());
+  c.governor.mode = static_cast<OffloadMode>(9);  // e.g. `mode 9` in a reproducer
   EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
