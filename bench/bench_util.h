@@ -43,6 +43,11 @@ struct BenchOptions {
   bool progress = false;
 };
 
+[[noreturn]] inline void bench_usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [--jobs N] [--stats-json PATH] [--progress]\n", argv0);
+  std::exit(2);
+}
+
 inline BenchOptions parse_bench_options(int argc, char** argv) {
   BenchOptions o;
   auto need_value = [&](int& i) -> const char* {
@@ -55,15 +60,13 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--jobs" || a == "-j") {
-      o.jobs = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.jobs = number_or_usage<unsigned>(need_value(i), bench_usage, argv[0]);
     } else if (a == "--stats-json") {
       o.stats_json = need_value(i);
     } else if (a == "--progress") {
       o.progress = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--jobs N] [--stats-json PATH] [--progress]\n", argv[0]);
-      std::exit(2);
+      bench_usage(argv[0]);
     }
   }
   return o;

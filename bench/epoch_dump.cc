@@ -22,6 +22,7 @@
 //                         as counter events
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "sndp.h"
@@ -75,11 +76,11 @@ Options parse(int argc, char** argv) {
       else if (m == "dyn-cache") o.mode = OffloadMode::kDynamicCache;
       else usage(argv[0]);
     } else if (a == "-r" || a == "--ratio") {
-      o.ratio = std::stod(need_value(i));
+      o.ratio = number_or_usage<double>(need_value(i), usage, argv[0]);
     } else if (a == "-e" || a == "--epoch") {
-      o.epoch = std::stoull(need_value(i));
+      o.epoch = number_or_usage<Cycle>(need_value(i), usage, argv[0]);
     } else if (a == "--seed") {
-      o.seed = std::stoull(need_value(i));
+      o.seed = number_or_usage<std::uint64_t>(need_value(i), usage, argv[0]);
     } else if (a == "--csv") {
       o.csv = need_value(i);
     } else if (a == "--trace") {
@@ -102,6 +103,12 @@ int main(int argc, char** argv) {
   cfg.governor.epoch_cycles = o.epoch;
   cfg.placement_seed = o.seed;
   cfg.trace_path = o.trace_path;
+  try {
+    cfg.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
 
   auto wl = make_workload(o.workload, o.scale);
   const RunResult r = Simulator(cfg).run(*wl);

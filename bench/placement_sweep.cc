@@ -83,16 +83,16 @@ Options parse(int argc, char** argv) {
       }
     } else if (a == "-s" || a == "--stacks") {
       for (const std::string& n : split_list(need_value(i))) {
-        o.stacks.push_back(static_cast<unsigned>(std::strtoul(n.c_str(), nullptr, 10)));
+        o.stacks.push_back(number_or_usage<unsigned>(n, usage, argv[0]));
       }
     } else if (a == "--threshold") {
-      o.threshold = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.threshold = number_or_usage<unsigned>(need_value(i), usage, argv[0]);
     } else if (a == "--sample") {
-      o.sample = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.sample = number_or_usage<unsigned>(need_value(i), usage, argv[0]);
     } else if (a == "--csv") {
       o.csv = need_value(i);
     } else if (a == "--jobs" || a == "-j") {
-      o.bench.jobs = static_cast<unsigned>(std::strtoul(need_value(i), nullptr, 10));
+      o.bench.jobs = number_or_usage<unsigned>(need_value(i), usage, argv[0]);
     } else if (a == "--stats-json") {
       o.bench.stats_json = need_value(i);
     } else if (a == "--progress") {

@@ -5,6 +5,7 @@
 //   ./offload_explorer [workload] [scale] [epoch_cycles]
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "sndp.h"
@@ -12,6 +13,11 @@
 using namespace sndp;
 
 namespace {
+
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [workload] [tiny|small|large] [epoch_cycles]\n", argv0);
+  std::exit(2);
+}
 
 RunResult run_mode(const std::string& name, ProblemScale scale, OffloadMode mode,
                    double ratio, Cycle epoch) {
@@ -31,7 +37,7 @@ int main(int argc, char** argv) {
   const ProblemScale scale = scale_str == "tiny"    ? ProblemScale::kTiny
                              : scale_str == "large" ? ProblemScale::kLarge
                                                     : ProblemScale::kSmall;
-  const Cycle epoch = argc > 3 ? std::stoull(argv[3]) : 2000;
+  const Cycle epoch = argc > 3 ? number_or_usage<Cycle>(argv[3], usage, argv[0]) : 2000;
 
   const RunResult base = run_mode(name, scale, OffloadMode::kOff, 0.0, epoch);
   std::printf("%s baseline: %llu cycles (verified=%s)\n", name.c_str(),

@@ -59,16 +59,13 @@
 //
 // A malformed flag or numeric value prints the usage text and exits 2; a
 // configuration SystemConfig::validate() rejects prints why and exits 2.
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "sndp.h"
@@ -122,20 +119,6 @@ struct Options {
                "           [--nsu-quota N] [--credit-share F]]\n",
                argv0);
   std::exit(2);
-}
-
-// The whole of `text` as a T, or the usage text and exit 2: garbage,
-// trailing characters, a sign on an unsigned value, overflow and non-finite
-// floats are all refused.
-template <typename T>
-T number_or_usage(const std::string& text, const char* argv0) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  bool ok = ec == std::errc() && ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok) usage(argv0);
-  return value;
 }
 
 // With -w all, one CSV per workload: insert the name before the extension.
@@ -205,11 +188,11 @@ Options parse(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
   };
-  auto num_u = [&](const std::string& s) { return number_or_usage<unsigned>(s, argv[0]); };
+  auto num_u = [&](const std::string& s) { return number_or_usage<unsigned>(s, usage, argv[0]); };
   auto num_u64 = [&](const std::string& s) {
-    return number_or_usage<std::uint64_t>(s, argv[0]);
+    return number_or_usage<std::uint64_t>(s, usage, argv[0]);
   };
-  auto num_f = [&](const std::string& s) { return number_or_usage<double>(s, argv[0]); };
+  auto num_f = [&](const std::string& s) { return number_or_usage<double>(s, usage, argv[0]); };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "-w" || a == "--workload") {
@@ -339,9 +322,9 @@ int run_tenants_main(const Options& o, const char* argv0) {
     s.name = entry.substr(0, c1);
     if (c1 != std::string::npos) {
       const std::size_t c2 = entry.find(':', c1 + 1);
-      s.weight = number_or_usage<double>(entry.substr(c1 + 1, c2 - c1 - 1), argv0);
+      s.weight = number_or_usage<double>(entry.substr(c1 + 1, c2 - c1 - 1), usage, argv0);
       if (c2 != std::string::npos) {
-        s.priority = number_or_usage<unsigned>(entry.substr(c2 + 1), argv0);
+        s.priority = number_or_usage<unsigned>(entry.substr(c2 + 1), usage, argv0);
       }
     }
     specs.push_back(std::move(s));

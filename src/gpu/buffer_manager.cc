@@ -1,5 +1,6 @@
 #include "gpu/buffer_manager.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,6 +9,7 @@ namespace sndp {
 NdpBufferManager::NdpBufferManager(const NdpBufferConfig& cfg, unsigned num_hmcs) : cfg_(cfg) {
   credits_.resize(num_hmcs, Credits{cfg.nsu_cmd_entries, cfg.nsu_read_data_entries,
                                     cfg.nsu_write_addr_entries});
+  watchers_.resize(num_hmcs);
 }
 
 void NdpBufferManager::set_tenancy(unsigned num_tenants, double credit_share) {
@@ -23,22 +25,16 @@ void NdpBufferManager::set_tenancy(unsigned num_tenants, double credit_share) {
   tenant_use_.assign(credits_.size(), std::vector<TenantUse>(num_tenants));
 }
 
-bool NdpBufferManager::try_reserve(unsigned hmc, unsigned rd, unsigned wta, unsigned tenant) {
+unsigned NdpBufferManager::reserve_or_causes(unsigned hmc, unsigned rd, unsigned wta,
+                                             unsigned tenant) {
   Credits& c = credits_.at(hmc);
   if (c.cmd < 1 || c.rd < rd || c.wta < wta) {
-    ++denials_;
-    if (c.cmd < 1) ++denials_cmd_;
-    if (c.rd < rd) ++denials_rd_;
-    if (c.wta < wta) ++denials_wta_;
-    return false;
+    return (c.cmd < 1 ? kDenyCmd : 0u) | (c.rd < rd ? kDenyRd : 0u) |
+           (c.wta < wta ? kDenyWta : 0u);
   }
   if (!tenant_use_.empty()) {
     TenantUse& u = tenant_use_.at(hmc).at(tenant);
-    if (u.rd + rd > quota_rd_ || u.wta + wta > quota_wta_) {
-      ++denials_;
-      ++denials_qos_;
-      return false;
-    }
+    if (u.rd + rd > quota_rd_ || u.wta + wta > quota_wta_) return kDenyQos;
     u.rd += rd;
     u.wta += wta;
   }
@@ -46,7 +42,22 @@ bool NdpBufferManager::try_reserve(unsigned hmc, unsigned rd, unsigned wta, unsi
   c.rd -= rd;
   c.wta -= wta;
   ++grants_;
-  return true;
+  poke(hmc);
+  return 0;
+}
+
+void NdpBufferManager::deny_again(unsigned causes, std::uint64_t times) {
+  denials_ += times;
+  if (causes & kDenyCmd) denials_cmd_ += times;
+  if (causes & kDenyRd) denials_rd_ += times;
+  if (causes & kDenyWta) denials_wta_ += times;
+  if (causes & kDenyQos) denials_qos_ += times;
+}
+
+bool NdpBufferManager::try_reserve(unsigned hmc, unsigned rd, unsigned wta, unsigned tenant) {
+  const unsigned causes = reserve_or_causes(hmc, rd, wta, tenant);
+  if (causes != 0) deny_again(causes);
+  return causes == 0;
 }
 
 void NdpBufferManager::release(unsigned hmc, unsigned cmd, unsigned rd, unsigned wta,
@@ -67,6 +78,18 @@ void NdpBufferManager::release(unsigned hmc, unsigned cmd, unsigned rd, unsigned
     u.rd -= rd;
     u.wta -= wta;
   }
+  poke(hmc);
+}
+
+void NdpBufferManager::poke(unsigned hmc) {
+  for (bool* moved : watchers_[hmc]) *moved = true;
+}
+
+void NdpBufferManager::watch(unsigned hmc, bool* moved) { watchers_.at(hmc).push_back(moved); }
+
+void NdpBufferManager::unwatch(unsigned hmc, bool* moved) {
+  std::vector<bool*>& w = watchers_.at(hmc);
+  w.erase(std::find(w.begin(), w.end(), moved));
 }
 
 bool NdpBufferManager::all_idle() const {

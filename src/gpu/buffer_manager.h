@@ -6,6 +6,11 @@
 // entries free up (command credit when a warp slot is claimed, data credits
 // piggybacked on the offload ACK).  Reservations never exceed capacity, so
 // every in-flight packet is guaranteed an ejection slot — no deadlock.
+//
+// Waiting SMs do not poll unchanged credit state (DESIGN.md "Scheduler and
+// fast-forward"): every grant and release on an HMC pokes the SMs watching
+// it.  Until the next poke a repeat attempt must fail the same way, so the
+// SM counts it with deny_again() instead of re-running the reservation.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +20,13 @@
 #include "common/stats.h"
 
 namespace sndp {
+
+// Why a reservation was refused (bit set; 0 means granted).  kDenyQos is
+// reported only when the physical buffers had room.
+inline constexpr unsigned kDenyCmd = 1u;
+inline constexpr unsigned kDenyRd = 2u;
+inline constexpr unsigned kDenyWta = 4u;
+inline constexpr unsigned kDenyQos = 8u;
 
 class NdpBufferManager {
  public:
@@ -28,13 +40,29 @@ class NdpBufferManager {
   void set_tenancy(unsigned num_tenants, double credit_share);
 
   // Atomically reserve (1 offload command, `rd` read-data entries, `wta`
-  // write-address entries) on `hmc` for `tenant`.  Returns false (reserving
-  // nothing) when any buffer — or the tenant's QoS share — lacks space.
+  // write-address entries) on `hmc` for `tenant`.  Returns 0 on a grant, or
+  // the kDeny* bits (reserving and counting nothing) when any buffer — or
+  // the tenant's QoS share — lacks space.
+  unsigned reserve_or_causes(unsigned hmc, unsigned rd, unsigned wta, unsigned tenant = 0);
+
+  // Count `times` denials with `causes` (as returned by reserve_or_causes),
+  // exactly as that many refused try_reserve calls would.
+  void deny_again(unsigned causes, std::uint64_t times = 1);
+
+  // reserve_or_causes, counting a refusal.  Returns true on a grant.
   bool try_reserve(unsigned hmc, unsigned rd, unsigned wta, unsigned tenant = 0);
 
   // Credits returned by the NSU (tenant from the credit/ACK packet).
   void release(unsigned hmc, unsigned cmd, unsigned rd, unsigned wta,
                unsigned tenant = 0);
+
+  // Set `*moved` on every grant and release on `hmc` (which covers every
+  // change of a tenant's credit use there); a denial sets nothing.  An SM
+  // watches each HMC it has credit waiters on.  `*moved` must stay alive
+  // until unwatch() or until no grant or release follows (a run can end
+  // with waiters left; the SMs then die before the manager).
+  void watch(unsigned hmc, bool* moved);
+  void unwatch(unsigned hmc, bool* moved);
 
   unsigned free_cmd(unsigned hmc) const { return credits_.at(hmc).cmd; }
   unsigned free_read_data(unsigned hmc) const { return credits_.at(hmc).rd; }
@@ -49,8 +77,6 @@ class NdpBufferManager {
 
   void export_stats(StatSet& out) const;
 
-  std::uint64_t qos_denials() const { return denials_qos_; }
-
  private:
   struct Credits {
     unsigned cmd, rd, wta;
@@ -58,8 +84,11 @@ class NdpBufferManager {
   struct TenantUse {
     unsigned rd = 0, wta = 0;
   };
+  void poke(unsigned hmc);
+
   NdpBufferConfig cfg_;
   std::vector<Credits> credits_;
+  std::vector<std::vector<bool*>> watchers_;
   // Per-(hmc, tenant) held entries; empty unless credit partitioning is on.
   std::vector<std::vector<TenantUse>> tenant_use_;
   unsigned quota_rd_ = 0;

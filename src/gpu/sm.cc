@@ -170,18 +170,45 @@ void Sm::emit_or_hold(Warp& warp, Packet&& p, TimePs now) {
   }
 }
 
+// `w` just learned its target NSU; it joins the waiters in warp order, and
+// the next retry pass makes real reservation attempts.
+void Sm::add_credit_waiter(const Warp& w) {
+  const unsigned hmc = w.ofld->target;
+  const bool watched = std::any_of(waiters_.begin(), waiters_.end(),
+                                   [&](const CreditWaiter& cw) { return cw.hmc == hmc; });
+  if (!watched) ctx_.bufmgr->watch(hmc, &credits_moved_);
+  const auto pos = std::find_if(waiters_.begin(), waiters_.end(),
+                                [&](const CreditWaiter& cw) { return cw.warp > w.id; });
+  waiters_.insert(pos, CreditWaiter{w.id, hmc});
+  credits_moved_ = true;
+}
+
 void Sm::retry_credit_grants(TimePs now) {
-  if (awaiting_grant_ == 0) return;
-  for (Warp& w : warps_) {
-    if (!w.valid() || !w.ofld) continue;
+  if (waiters_.empty()) return;
+  if (!credits_moved_) {
+    count_refusals(1);  // same credit state, same refusals
+    return;
+  }
+  credits_moved_ = false;  // set again by this pass's own grants
+  NdpBufferManager& mgr = *ctx_.bufmgr;
+  refusals_.fill(0);
+  for (std::size_t i = 0; i < waiters_.size();) {
+    const CreditWaiter cw = waiters_[i];
+    Warp& w = warps_[cw.warp];
     GpuOffloadCtx& ctx = *w.ofld;
-    if (ctx.credits_granted || ctx.target == kInvalidId) continue;
-    if (!ctx_.bufmgr->try_reserve(ctx.target, ctx.info->num_loads, ctx.info->num_stores,
-                                  w.tenant)) {
+    const unsigned causes =
+        mgr.reserve_or_causes(cw.hmc, ctx.info->num_loads, ctx.info->num_stores, w.tenant);
+    if (causes != 0) {
+      ++refusals_[causes];
+      ++i;
       continue;
     }
+    waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(i));
+    if (std::none_of(waiters_.begin(), waiters_.end(),
+                     [&](const CreditWaiter& other) { return other.hmc == cw.hmc; })) {
+      mgr.unwatch(cw.hmc, &credits_moved_);
+    }
     ctx.credits_granted = true;
-    --awaiting_grant_;
     for (Packet& p : ctx.held) {
       // The target NSU was unknown when these were generated.
       p.target_nsu = static_cast<std::uint8_t>(ctx.target);
@@ -198,10 +225,22 @@ void Sm::retry_credit_grants(TimePs now) {
     pending_count_ -= static_cast<unsigned>(ctx.held.size());
     ctx.held.clear();
   }
+  if (waiters_.empty()) credits_moved_ = false;
+  count_refusals(1);
+}
+
+void Sm::count_refusals(std::uint64_t passes) {
+  for (unsigned causes = 1; causes < refusals_.size(); ++causes) {
+    if (refusals_[causes] != 0) ctx_.bufmgr->deny_again(causes, refusals_[causes] * passes);
+  }
 }
 
 void Sm::apply_gap(Cycle gap) {
   // Replay what each skipped cycle would have counted under naive stepping.
+  // Its retry pass refused every credit waiter again, for the same causes:
+  // the SM sleeps only when its last pass saw current credit state, and
+  // any later grant or release on a waited HMC pokes it awake.
+  if (!waiters_.empty()) count_refusals(gap);
   switch (gap_class_) {
     case GapClass::kDependency:
       active_cycles += gap;
@@ -315,7 +354,7 @@ void Sm::finalize(Cycle end_cycle) {
 }
 
 void Sm::tick(Cycle cycle, TimePs now) {
-  if (fast_forward_ && wake_ps_ > now) return;  // asleep; counters deferred
+  if (fast_forward_ && next_work_ps(now) > now) return;  // asleep; counters deferred
   if (cycle > next_expected_cycle_) apply_gap(cycle - next_expected_cycle_);
   next_expected_cycle_ = cycle + 1;
   now_cycle_ = cycle;
@@ -355,8 +394,7 @@ void Sm::tick(Cycle cycle, TimePs now) {
   retry_credit_grants(now);
 
   // --- Issue stage (GTO: greedy warp first, then oldest by slot id). -------
-  bool any_warp = false;
-  for (const Warp& w : warps_) any_warp = any_warp || w.valid();
+  const bool any_warp = free_warps_ < warps_.size();
   if (any_warp) {
     ++active_cycles;
     // The no-warp total is constant across any contiguous active period, so
@@ -378,6 +416,7 @@ void Sm::tick(Cycle cycle, TimePs now) {
   // which is the only case the sleep decision reads it.
   Cycle self_wake = kCycleNever;
 
+  egress_blocked_ = false;
   if (profile_) {
     dep_warp_ = kInvalidId;
     busy_warp_ = kInvalidId;
@@ -439,13 +478,16 @@ void Sm::tick(Cycle cycle, TimePs now) {
 
   // Decide whether the SM can sleep (hints are maintained in both stepping
   // modes, so a naive run differs from a fast-forward run only in the
-  // scheduler).  It can whenever nothing issued and no
-  // credit grant is being polled: every blocked ready warp then stays
-  // blocked — and its retry stays side-effect-free — until either a known
-  // future cycle (self_wake: exec unit frees, timed scoreboard entry
-  // resolves) or an external event that lowers wake_ps_ (line fill, ACK,
-  // egress drain).  The gap class records what each slept cycle counts as
-  // in Fig. 8, mirroring the dependency-before-busy priority above.
+  // scheduler).  It can whenever nothing issued: every blocked ready warp
+  // then stays blocked — and its retry stays side-effect-free — until
+  // either a known future cycle (self_wake: exec unit frees, timed
+  // scoreboard entry resolves) or an external event that lowers wake_ps_
+  // (line fill, ACK, egress drain).  Credit waiters stay refused until a
+  // grant or release on a waited HMC sets credits_moved_, which holds
+  // next_work_ps at 0; that covers a grant late in this tick's own retry
+  // pass, too.  apply_gap counts the refusals they repeat on slept edges.
+  // The gap class records what each slept cycle counts as in Fig. 8,
+  // mirroring the dependency-before-busy priority above.
   gap_class_ = GapClass::kNone;
   if (!busy()) {
     // Fully drained (the last warp may have exited this very cycle): only a
@@ -456,7 +498,7 @@ void Sm::tick(Cycle cycle, TimePs now) {
     return;
   }
   wake_ps_ = now;  // default: busy at the next edge
-  if (issued || awaiting_grant_ != 0) return;
+  if (issued) return;
   if (any_ready) {
     gap_class_ = saw_dep ? GapClass::kDependency : GapClass::kExecBusy;
   } else if (any_warp) {
@@ -613,7 +655,6 @@ void Sm::begin_offload(Warp& w, const Instr& in, Cycle /*cycle*/, TimePs now) {
   }
 
   ++offloads_started_;
-  ++awaiting_grant_;
   w.ofld = std::make_unique<GpuOffloadCtx>();
   w.ofld->info = &info;
   w.ofld->instance = next_instance_++;
@@ -677,6 +718,7 @@ void Sm::end_offload_or_inline(Warp& w, Cycle /*cycle*/, TimePs now) {
       }
     }
     w.ofld->target = best;
+    add_credit_waiter(w);
     retry_credit_grants(now);
   }
   w.state = WarpState::kWaitAck;
@@ -733,6 +775,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
   // or a line fill freeing MSHRs/trackers (deliver_line).
   if (out_.size() >= ctx_.cfg->ndp_buffers.sm_ready_entries) {
     retry_cycle_ = kCycleNever;
+    egress_blocked_ = true;
     return IssueOutcome::kExecBusy;  // egress queue full
   }
   unsigned tracker_idx = kInvalidId;
@@ -756,6 +799,7 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
 
   if (out_.size() + n_lines > ctx_.cfg->ndp_buffers.sm_ready_entries) {
     retry_cycle_ = kCycleNever;
+    egress_blocked_ = true;
     return IssueOutcome::kExecBusy;  // egress queue full
   }
 
@@ -890,6 +934,7 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
     }
   } else if (out_.size() + n_lines > ctx_.cfg->ndp_buffers.sm_ready_entries) {
     retry_cycle_ = kCycleNever;  // unblocked only by an egress drain
+    egress_blocked_ = true;
     return IssueOutcome::kExecBusy;
   }
 
@@ -913,6 +958,7 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
       if (votes[h] > votes[best]) best = h;
     }
     ofld.target = best;
+    add_credit_waiter(w);
     retry_credit_grants(now);
   }
 

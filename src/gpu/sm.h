@@ -10,6 +10,7 @@
 // warps blocked on barriers or on offload ACKs).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -17,6 +18,7 @@
 
 #include "common/stats.h"
 #include "common/types.h"
+#include "gpu/buffer_manager.h"
 #include "gpu/coalescer.h"
 #include "gpu/warp.h"
 #include "mem/cache.h"
@@ -58,13 +60,14 @@ class Sm final : public Tickable {
   // known self-resolve cycle (ALU/SFU/LSU frees up, a timed scoreboard
   // entry becomes readable); never while fully drained.  Maintained at the
   // end of tick() and lowered by deliver_line / deliver_ofld_ack /
-  // assign_cta / on_egress_pop.
-  TimePs next_work_ps(TimePs /*now*/) override { return wake_ps_; }
+  // assign_cta / on_egress_pop; 0 as well while credits_moved_ is set.
+  TimePs next_work_ps(TimePs /*now*/) override { return credits_moved_ ? 0 : wake_ps_; }
 
-  // The GPU drained a packet from out(): an egress-full warp may now be
-  // issuable, so a sleeping SM must retry at its next edge.
+  // The GPU drained a packet from out(): if the last tick refused a warp
+  // for egress space, that warp may now be issuable, so a sleeping SM must
+  // retry at its next edge.  No other blocked warp depends on out()'s size.
   void on_egress_pop(TimePs now) {
-    if (now < wake_ps_) wake_ps_ = now;
+    if (egress_blocked_ && now < wake_ps_) wake_ps_ = now;
   }
 
   // Flush skipped-cycle stall/active counters up to the end of the run;
@@ -175,7 +178,9 @@ class Sm final : public Tickable {
   void handle_barrier(Warp& warp);
   void handle_exit(Warp& warp);
   void complete_tracker(unsigned idx, Cycle cycle, LineServe serve);
+  void add_credit_waiter(const Warp& w);
   void retry_credit_grants(TimePs now);
+  void count_refusals(std::uint64_t passes);
   const CoalesceCache& coalesced(Warp& w, const Instr& in, LaneMask lanes);
   void emit_or_hold(Warp& warp, Packet&& p, TimePs now);
   void push_out(Packet&& p, TimePs ready_ps);
@@ -210,7 +215,6 @@ class Sm final : public Tickable {
 
   unsigned free_warps_ = 0;      // incrementally tracked (dispatch fast path)
   unsigned free_cta_slots_ = 0;
-  unsigned awaiting_grant_ = 0;  // warps with an ungranted credit reservation
   unsigned active_trackers_ = 0; // valid LoadTrackers (incremental, for busy())
 
   // Fast-forward state (see next_work_ps / finalize).
@@ -222,6 +226,8 @@ class Sm final : public Tickable {
   // could succeed (unit-busy cases), or kCycleNever when only an external
   // event unblocks (egress/MSHR/tracker exhaustion).
   Cycle retry_cycle_ = 0;
+  // Set by every egress-full kExecBusy return in this tick's issue scan.
+  bool egress_blocked_ = false;
   TimePs* l2_wake_ = nullptr;
   bool* dispatch_wake_ = nullptr;
   std::vector<TenantCtaProgress>* tenant_progress_ = nullptr;
@@ -238,6 +244,21 @@ class Sm final : public Tickable {
   unsigned pending_count_ = 0;     // held NDP packets across all warps
 
   std::uint64_t next_instance_ = 1;  // offload instance ids (unique per SM)
+
+  // Offloaded warps whose target is known but whose credits are not yet
+  // granted, in ascending warp order (the retry order).
+  struct CreditWaiter {
+    unsigned warp;
+    unsigned hmc;
+  };
+  std::vector<CreditWaiter> waiters_;
+  // Set by the buffer manager on any grant or release on an HMC in
+  // waiters_ (and by a new waiter): the next retry pass must re-run every
+  // reservation.  While clear, a pass would refuse the waiters exactly as
+  // the last one did, so it only counts refusals_ again.
+  bool credits_moved_ = false;
+  // The last real pass's refusals, indexed by kDeny* cause set.
+  std::array<std::uint32_t, 2 * kDenyQos> refusals_{};
 
   // Extra stats.
   std::uint64_t offloads_started_ = 0;

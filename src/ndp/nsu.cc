@@ -52,7 +52,7 @@ double Nsu::avg_occupancy() const {
 
 double Nsu::icache_utilization() const {
   // 8 B per instruction, as a fraction of the 4 KB I-cache (Fig. 11).
-  const double bytes = static_cast<double>(icache_pcs_.size()) * 8.0;
+  const double bytes = static_cast<double>(icache_pcs_) * 8.0;
   return bytes / static_cast<double>(cfg_.icache_bytes);
 }
 
@@ -274,7 +274,13 @@ void Nsu::try_spawn(Cycle cycle, TimePs now) {
 bool Nsu::step_warp(NsuWarp& warp, Cycle cycle, TimePs now) {
   const Program& prog = ctx_.image_of(warp.tenant)->nsu;
   const Instr& in = prog.at(warp.pc);
-  icache_pcs_.insert(warp.pc);
+  const unsigned word = warp.pc / 64;
+  if (word >= icache_pc_bits_.size()) icache_pc_bits_.resize(word + 1, 0);
+  const std::uint64_t bit = std::uint64_t{1} << (warp.pc % 64);
+  if ((icache_pc_bits_[word] & bit) == 0) {
+    icache_pc_bits_[word] |= bit;
+    ++icache_pcs_;
+  }
 
   switch (in.op) {
     case Opcode::kOfldBeg:

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <functional>
-#include <set>
 #include <vector>
 
 #include "common/config.h"
@@ -144,7 +143,10 @@ class Nsu final : public Tickable {
   std::uint64_t tick_count_ = 0;
   std::uint64_t write_packets_ = 0;
   std::uint64_t stall_read_wait_ = 0;
-  std::set<unsigned> icache_pcs_;
+  // NSU PCs touched so far, over all tenants' programs (a PC shared by two
+  // tenants counts once): a bitmap by PC, plus its population count.
+  std::vector<std::uint64_t> icache_pc_bits_;
+  std::uint64_t icache_pcs_ = 0;
 
   // Cycle-stack profiler state (zero-cost when cfg.profile is off).
   bool profile_ = false;

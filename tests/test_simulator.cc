@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
+#include <string>
 
 #include "sndp.h"
 
@@ -140,6 +142,78 @@ TEST_P(FastForwardDeterminism, StatsAreByteIdenticalToNaiveStepping) {
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, FastForwardDeterminism,
                          ::testing::Values("BPROP", "BFS", "BICG", "FWT", "KMN", "MiniFE",
                                            "SP", "STN", "STCL", "VADD"));
+
+// The same identity with the credit-wait path live: one command entry and
+// four data entries per NSU make offloading warps wait for grants (refused
+// for cmd, and for rd/wta on BICG, FWT and BFS), so sleeping SMs must count
+// the refusals their slept retry passes would have made.  BFS offloading
+// every block also fills the SMs' egress queues, so the egress-drain wake
+// is exercised alongside the credit waits.
+struct CreditStarvedCase {
+  const char* workload;
+  OffloadMode mode;
+};
+
+std::string case_name(const CreditStarvedCase& c) {
+  return std::string(c.workload) + (c.mode == OffloadMode::kAlways ? "_Always" : "_DynCache");
+}
+
+void PrintTo(const CreditStarvedCase& c, std::ostream* os) { *os << case_name(c); }
+
+class CreditStarvedFastForward : public ::testing::TestWithParam<CreditStarvedCase> {};
+
+TEST_P(CreditStarvedFastForward, StatsAreByteIdenticalToNaiveStepping) {
+  const std::string name = GetParam().workload;
+  SystemConfig cfg = SystemConfig::small_test();
+  cfg.governor.mode = GetParam().mode;
+  cfg.ndp_buffers.nsu_cmd_entries = 1;
+  cfg.ndp_buffers.nsu_read_data_entries = 4;
+  cfg.ndp_buffers.nsu_write_addr_entries = 4;
+
+  cfg.fast_forward = true;
+  auto wl_ff = make_workload(name, ProblemScale::kTiny);
+  const RunResult ff = Simulator(cfg).run(*wl_ff);
+
+  cfg.fast_forward = false;
+  auto wl_nv = make_workload(name, ProblemScale::kTiny);
+  const RunResult naive = Simulator(cfg).run(*wl_nv);
+
+  EXPECT_TRUE(ff.completed && ff.verified);
+  EXPECT_GT(ff.stats.get("bufmgr.denials"), 0.0) << name;
+  EXPECT_EQ(ff.sm_cycles, naive.sm_cycles) << name;
+  EXPECT_EQ(ff.stats.values(), naive.stats.values()) << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, CreditStarvedFastForward,
+    ::testing::Values(CreditStarvedCase{"BICG", OffloadMode::kDynamicCache},
+                      CreditStarvedCase{"FWT", OffloadMode::kDynamicCache},
+                      CreditStarvedCase{"KMN", OffloadMode::kDynamicCache},
+                      CreditStarvedCase{"BFS", OffloadMode::kAlways}),
+    [](const ::testing::TestParamInfo<CreditStarvedCase>& info) { return case_name(info.param); });
+
+// Two tenants under a 50% credit share: QoS refusals depend on each
+// tenant's credit use, whose changes poke the waiting SMs too.
+TEST(CreditStarvedFastForward, TenantCreditShareIsByteIdenticalToNaiveStepping) {
+  SystemConfig cfg = SystemConfig::small_test();
+  cfg.governor.mode = OffloadMode::kAlways;
+  cfg.ndp_buffers.nsu_cmd_entries = 2;
+  cfg.ndp_buffers.nsu_read_data_entries = 32;
+  cfg.ndp_buffers.nsu_write_addr_entries = 32;
+  cfg.tenancy.credit_share = 0.5;
+  std::vector<RunResult> runs;
+  for (const bool ff : {true, false}) {
+    cfg.fast_forward = ff;
+    auto a = make_workload("BICG", ProblemScale::kTiny);
+    auto b = make_workload("FWT", ProblemScale::kTiny);
+    runs.push_back(Simulator(cfg).run_tenants({{a.get()}, {b.get()}}, "mix"));
+  }
+  EXPECT_TRUE(runs[0].completed && runs[0].verified);
+  EXPECT_GT(runs[0].stats.get("bufmgr.denials_qos"), 0.0);
+  EXPECT_GT(runs[0].stats.get("bufmgr.denials_cmd"), 0.0);
+  EXPECT_EQ(runs[0].sm_cycles, runs[1].sm_cycles);
+  EXPECT_EQ(runs[0].stats.values(), runs[1].stats.values());
+}
 
 TEST(SimulatorFacade, EnergyCountersAreConsistent) {
   SystemConfig cfg = SystemConfig::small_test();
