@@ -8,15 +8,25 @@
 //
 //   diff_check [--scale tiny|small] [--workload NAME]...
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 
-int main(int argc, char** argv) {
-  using namespace sndp;
+using namespace sndp;
 
+namespace {
+
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [--scale tiny|small] [--workload NAME]...\n", argv0);
+  std::exit(2);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
   ProblemScale scale = ProblemScale::kTiny;
   std::vector<std::string> selected;
   for (int i = 1; i < argc; ++i) {
@@ -34,12 +44,11 @@ int main(int argc, char** argv) {
     } else if (a == "--workload" && i + 1 < argc) {
       selected.emplace_back(argv[++i]);
     } else {
-      std::fprintf(stderr, "usage: %s [--scale tiny|small] [--workload NAME]...\n",
-                   argv[0]);
-      return 2;
+      usage(argv[0]);
     }
   }
   if (selected.empty()) selected = all_workload_names();
+  check_workload_names(selected, usage, argv[0]);
 
   SystemConfig base = SystemConfig::paper();
   base.governor.epoch_cycles = bench::kScaledEpoch;

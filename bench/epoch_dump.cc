@@ -89,6 +89,7 @@ Options parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  check_workload_names({o.workload}, usage, argv[0]);
   return o;
 }
 

@@ -92,6 +92,7 @@ Options parse(int argc, char** argv) {
     }
   }
   if (o.workloads.empty()) o.workloads = all_workload_names();
+  check_workload_names(o.workloads, usage, argv[0]);
   return o;
 }
 

@@ -102,6 +102,7 @@ Options parse(int argc, char** argv) {
     }
   }
   if (o.workloads.empty()) o.workloads = all_workload_names();
+  check_workload_names(o.workloads, usage, argv[0]);
   if (o.policies.empty()) {
     o.policies = {PlacementPolicyKind::kRandom, PlacementPolicyKind::kFirstTouch,
                   PlacementPolicyKind::kLocality, PlacementPolicyKind::kMigration};

@@ -115,6 +115,7 @@ Options parse(int argc, char** argv) {
     }
   }
   if (o.workloads.size() < 2 || o.arbiters.empty()) usage(argv[0]);
+  check_workload_names(o.workloads, usage, argv[0]);
   return o;
 }
 

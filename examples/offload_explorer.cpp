@@ -33,6 +33,7 @@ RunResult run_mode(const std::string& name, ProblemScale scale, OffloadMode mode
 
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "VADD";
+  check_workload_names({name}, usage, argv[0]);
   const std::string scale_str = argc > 2 ? argv[2] : "small";
   const ProblemScale scale = scale_str == "tiny"    ? ProblemScale::kTiny
                              : scale_str == "large" ? ProblemScale::kLarge

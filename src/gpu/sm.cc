@@ -22,7 +22,11 @@ Sm::Sm(SmId id, const SystemContext& ctx)
       l1_(ctx.cfg->sm.l1d, "l1"),
       coalescer_(cfg_.l1d.line_bytes) {
   warps_.resize(cfg_.max_warps());
-  for (unsigned i = 0; i < warps_.size(); ++i) warps_[i].id = i;
+  lane_ctx_.resize(warps_.size() * kWarpWidth);
+  for (unsigned i = 0; i < warps_.size(); ++i) {
+    warps_[i].id = i;
+    warps_[i].lanes = &lane_ctx_[i * kWarpWidth];
+  }
   ctas_.resize(cfg_.max_ctas);
   // One tracker per potential outstanding load: warps x 1 is enough for an
   // in-order core, with slack for scheduling overlap.
@@ -61,8 +65,10 @@ void Sm::assign_cta(unsigned cta_id, unsigned tenant) {
     if (created == cta.num_warps) break;
     if (w.valid()) continue;
     const WarpId wid = w.id;
+    ThreadCtx* const lanes = w.lanes;
     w = Warp{};
     w.id = wid;
+    w.lanes = lanes;
     w.cta_slot = slot;
     w.cta_id = cta_id;
     w.tenant = tenant;
@@ -71,11 +77,11 @@ void Sm::assign_cta(unsigned cta_id, unsigned tenant) {
     const unsigned warp_in_cta = created;
     LaneMask active = 0;
     for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
-      const unsigned tid_in_cta = warp_in_cta * kWarpWidth + lane;
-      if (tid_in_cta >= lp.cta_threads) break;
-      active |= LaneMask{1} << lane;
       ThreadCtx& t = w.lanes[lane];
       t = ThreadCtx{};
+      const unsigned tid_in_cta = warp_in_cta * kWarpWidth + lane;
+      if (tid_in_cta >= lp.cta_threads) continue;
+      active |= LaneMask{1} << lane;
       t.regs[0] = static_cast<RegValue>(cta_id) * lp.cta_threads + tid_in_cta;  // R0: gtid
       t.regs[1] = lp.total_threads();                                           // R1
       t.regs[2] = cta_id;                                                       // R2
@@ -112,12 +118,6 @@ unsigned Sm::alloc_tracker() {
     if (!trackers_[i].valid) return i;
   }
   return kInvalidId;
-}
-
-unsigned Sm::free_trackers() const {
-  unsigned n = 0;
-  for (const LoadTracker& t : trackers_) n += t.valid ? 0 : 1;
-  return n;
 }
 
 void Sm::complete_tracker(unsigned idx, Cycle cycle, LineServe serve) {
@@ -173,36 +173,39 @@ void Sm::emit_or_hold(Warp& warp, Packet&& p, TimePs now) {
 // `w` just learned its target NSU; it joins the waiters in warp order, and
 // the next retry pass makes real reservation attempts.
 void Sm::add_credit_waiter(const Warp& w) {
-  const unsigned hmc = w.ofld->target;
+  const GpuOffloadCtx& ofld = *w.ofld;
+  const unsigned hmc = ofld.target;
   const bool watched = std::any_of(waiters_.begin(), waiters_.end(),
                                    [&](const CreditWaiter& cw) { return cw.hmc == hmc; });
   if (!watched) ctx_.bufmgr->watch(hmc, &credits_moved_);
   const auto pos = std::find_if(waiters_.begin(), waiters_.end(),
                                 [&](const CreditWaiter& cw) { return cw.warp > w.id; });
-  waiters_.insert(pos, CreditWaiter{w.id, hmc});
+  waiters_.insert(pos, CreditWaiter{w.id, hmc, ofld.info->num_loads, ofld.info->num_stores,
+                                    w.tenant});
   credits_moved_ = true;
 }
 
-void Sm::retry_credit_grants(TimePs now) {
-  if (waiters_.empty()) return;
+// Returns true if any waiter was granted.
+bool Sm::retry_credit_grants(TimePs now) {
+  if (waiters_.empty()) return false;
   if (!credits_moved_) {
     count_refusals(1);  // same credit state, same refusals
-    return;
+    return false;
   }
   credits_moved_ = false;  // set again by this pass's own grants
   NdpBufferManager& mgr = *ctx_.bufmgr;
   refusals_.fill(0);
+  bool granted = false;
   for (std::size_t i = 0; i < waiters_.size();) {
     const CreditWaiter cw = waiters_[i];
-    Warp& w = warps_[cw.warp];
-    GpuOffloadCtx& ctx = *w.ofld;
-    const unsigned causes =
-        mgr.reserve_or_causes(cw.hmc, ctx.info->num_loads, ctx.info->num_stores, w.tenant);
+    const unsigned causes = mgr.reserve_or_causes(cw.hmc, cw.rd, cw.wta, cw.tenant);
     if (causes != 0) {
       ++refusals_[causes];
       ++i;
       continue;
     }
+    granted = true;
+    GpuOffloadCtx& ctx = *warps_[cw.warp].ofld;
     waiters_.erase(waiters_.begin() + static_cast<std::ptrdiff_t>(i));
     if (std::none_of(waiters_.begin(), waiters_.end(),
                      [&](const CreditWaiter& other) { return other.hmc == cw.hmc; })) {
@@ -227,6 +230,7 @@ void Sm::retry_credit_grants(TimePs now) {
   }
   if (waiters_.empty()) credits_moved_ = false;
   count_refusals(1);
+  return granted;
 }
 
 void Sm::count_refusals(std::uint64_t passes) {
@@ -241,6 +245,15 @@ void Sm::apply_gap(Cycle gap) {
   // the SM sleeps only when its last pass saw current credit state, and
   // any later grant or release on a waited HMC pokes it awake.
   if (!waiters_.empty()) count_refusals(gap);
+  replay_stalls(gap);
+}
+
+// The issue-scan half of apply_gap: the stall class and full-pending-buffer
+// refusals each slept edge repeats.  Pending entries are freed only by a
+// grant in this SM's own retry pass, which needs a credit poke to wake it,
+// so every warp refused for pending space stays refused while asleep.
+void Sm::replay_stalls(Cycle gap) {
+  pending_full_stalls_ += std::uint64_t{pending_full_tally_} * gap;
   switch (gap_class_) {
     case GapClass::kDependency:
       active_cycles += gap;
@@ -359,6 +372,16 @@ void Sm::tick(Cycle cycle, TimePs now) {
   next_expected_cycle_ = cycle + 1;
   now_cycle_ = cycle;
 
+  // Woken by a credit poke alone: no fill or ACK is due and no blocked warp
+  // resolves on its own yet, so unless the retry pass grants something the
+  // issue scan would repeat the frozen stall.  The pass has counted its own
+  // refusals; account the rest of the edge as slept.
+  const bool poke_only = fast_forward_ && wake_ps_ > now;
+  if (poke_only && !retry_credit_grants(now)) {
+    replay_stalls(1);
+    return;
+  }
+
   // Line fills (L2 hits and DRAM fills) wake trackers through the L1 MSHRs.
   while (auto line = line_fills_.pop_ready(now)) {
     for (std::uint64_t token : l1_.fill(line->line_addr)) {
@@ -391,7 +414,7 @@ void Sm::tick(Cycle cycle, TimePs now) {
     ++w.pc;  // past OFLD.END
   }
 
-  retry_credit_grants(now);
+  if (!poke_only) retry_credit_grants(now);
 
   // --- Issue stage (GTO: greedy warp first, then oldest by slot id). -------
   const bool any_warp = free_warps_ < warps_.size();
@@ -417,6 +440,7 @@ void Sm::tick(Cycle cycle, TimePs now) {
   Cycle self_wake = kCycleNever;
 
   egress_blocked_ = false;
+  pending_full_tally_ = 0;
   if (profile_) {
     dep_warp_ = kInvalidId;
     busy_warp_ = kInvalidId;
@@ -479,15 +503,16 @@ void Sm::tick(Cycle cycle, TimePs now) {
   // Decide whether the SM can sleep (hints are maintained in both stepping
   // modes, so a naive run differs from a fast-forward run only in the
   // scheduler).  It can whenever nothing issued: every blocked ready warp
-  // then stays blocked — and its retry stays side-effect-free — until
-  // either a known future cycle (self_wake: exec unit frees, timed
-  // scoreboard entry resolves) or an external event that lowers wake_ps_
-  // (line fill, ACK, egress drain).  Credit waiters stay refused until a
-  // grant or release on a waited HMC sets credits_moved_, which holds
-  // next_work_ps at 0; that covers a grant late in this tick's own retry
-  // pass, too.  apply_gap counts the refusals they repeat on slept edges.
-  // The gap class records what each slept cycle counts as in Fig. 8,
-  // mirroring the dependency-before-busy priority above.
+  // then stays blocked until either a known future cycle (self_wake: exec
+  // unit frees, timed scoreboard entry resolves) or an external event that
+  // lowers wake_ps_ (line fill, ACK, egress drain).  Credit waiters, and
+  // warps refused for pending-buffer space, stay refused until a grant or
+  // release on a waited HMC sets credits_moved_, which holds next_work_ps
+  // at 0; that covers a grant late in this tick's own retry pass, too.
+  // apply_gap counts the credit refusals and pending-full stalls they
+  // repeat on slept edges.  The gap class records what each slept cycle
+  // counts as in Fig. 8, mirroring the dependency-before-busy priority
+  // above.
   gap_class_ = GapClass::kNone;
   if (!busy()) {
     // Fully drained (the last warp may have exited this very cycle): only a
@@ -926,10 +951,9 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
   if (!ofld.credits_granted) {
     if (pending_count_ + n_lines > ctx_.cfg->ndp_buffers.sm_pending_entries) {
       ++pending_full_stalls_;
+      ++pending_full_tally_;
       busy_cause_ = BusyCause::kCredit;
-      // Mutating retry (the stall counter advances every cycle): the SM must
-      // NOT sleep through this state, so demand a retry at the very next edge.
-      retry_cycle_ = cycle + 1;
+      retry_cycle_ = kCycleNever;  // entries free only with a credit grant
       return IssueOutcome::kExecBusy;
     }
   } else if (out_.size() + n_lines > ctx_.cfg->ndp_buffers.sm_ready_entries) {

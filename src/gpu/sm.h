@@ -61,6 +61,10 @@ class Sm final : public Tickable {
   // entry becomes readable); never while fully drained.  Maintained at the
   // end of tick() and lowered by deliver_line / deliver_ofld_ack /
   // assign_cta / on_egress_pop; 0 as well while credits_moved_ is set.
+  // Credit waits and full pending buffers set no self-resolve cycle: both
+  // end only with a grant, which needs a credit poke.  An edge reached
+  // through the poke alone (wake_ps_ still ahead) runs only the retry pass
+  // unless that pass grants something.
   TimePs next_work_ps(TimePs /*now*/) override { return credits_moved_ ? 0 : wake_ps_; }
 
   // The GPU drained a packet from out(): if the last tick refused a warp
@@ -179,19 +183,18 @@ class Sm final : public Tickable {
   void handle_exit(Warp& warp);
   void complete_tracker(unsigned idx, Cycle cycle, LineServe serve);
   void add_credit_waiter(const Warp& w);
-  void retry_credit_grants(TimePs now);
+  bool retry_credit_grants(TimePs now);
   void count_refusals(std::uint64_t passes);
   const CoalesceCache& coalesced(Warp& w, const Instr& in, LaneMask lanes);
   void emit_or_hold(Warp& warp, Packet&& p, TimePs now);
   void push_out(Packet&& p, TimePs ready_ps);
   void apply_gap(Cycle gap);
+  void replay_stalls(Cycle gap);
   // Cycle-stack helpers (profiler on only).
   void classify_stall_cycle(Cycle cycle, bool saw_dep, bool saw_busy);
   void add_stall_cycles(Cycle n);
   void flush_pending_dep(Warp& w);
   unsigned alloc_tracker();
-  unsigned free_trackers() const;
-  unsigned pending_total() const { return pending_count_; }
 
   SmId id_;
   const SystemContext& ctx_;
@@ -200,6 +203,9 @@ class Sm final : public Tickable {
   Coalescer coalescer_;
 
   std::vector<Warp> warps_;
+  // Per-lane register contexts, kWarpWidth per warp slot; Warp::lanes points
+  // into it.  Kept apart so the issue scan walks only compact warp state.
+  std::vector<ThreadCtx> lane_ctx_;
   std::vector<CtaSlot> ctas_;
   std::vector<LoadTracker> trackers_;
   unsigned greedy_ptr_ = 0;  // GTO scheduler: last-issued warp first
@@ -228,6 +234,9 @@ class Sm final : public Tickable {
   Cycle retry_cycle_ = 0;
   // Set by every egress-full kExecBusy return in this tick's issue scan.
   bool egress_blocked_ = false;
+  // Full-pending-buffer refusals in this tick's issue scan.  Each slept edge
+  // would refuse the same warps again (see apply_gap).
+  unsigned pending_full_tally_ = 0;
   TimePs* l2_wake_ = nullptr;
   bool* dispatch_wake_ = nullptr;
   std::vector<TenantCtaProgress>* tenant_progress_ = nullptr;
@@ -246,10 +255,14 @@ class Sm final : public Tickable {
   std::uint64_t next_instance_ = 1;  // offload instance ids (unique per SM)
 
   // Offloaded warps whose target is known but whose credits are not yet
-  // granted, in ascending warp order (the retry order).
+  // granted, in ascending warp order (the retry order).  Each carries its
+  // reservation, so a refused attempt reads nothing from the warp.
   struct CreditWaiter {
     unsigned warp;
     unsigned hmc;
+    unsigned rd;
+    unsigned wta;
+    unsigned tenant;
   };
   std::vector<CreditWaiter> waiters_;
   // Set by the buffer manager on any grant or release on an HMC in

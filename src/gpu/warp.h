@@ -1,6 +1,6 @@
-// Warp state on an SM: per-lane architectural contexts, control state, the
-// scoreboard, and the per-warp offload context used during partitioned
-// execution.
+// Warp state on an SM: control state, the scoreboard, the per-warp offload
+// context used during partitioned execution, and a view of the per-lane
+// architectural contexts (stored by the Sm).
 #pragma once
 
 #include <array>
@@ -66,7 +66,9 @@ struct Warp {
   WarpState state = WarpState::kInvalid;
   unsigned pc = 0;
   LaneMask active = 0;  // lanes that hold live threads
-  std::array<ThreadCtx, kWarpWidth> lanes{};
+  // kWarpWidth per-lane contexts, owned by the Sm (Sm::lane_ctx_) so the
+  // scheduling state the issue scan walks stays small.
+  ThreadCtx* lanes = nullptr;
   Scoreboard scoreboard{};
   unsigned outstanding_loads = 0;
   std::uint64_t issue_stamp = 0;  // incremented per issued instruction

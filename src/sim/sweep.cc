@@ -185,7 +185,8 @@ void outcome_to_json(JsonWriter& w, const SweepOutcome& o) {
       w.key("rows").begin_array();
       for (unsigned row = 0; row <= cs.tenants; ++row) {
         w.begin_object();
-        w.key("row").value(row == cs.tenants ? "shared" : "t" + std::to_string(row));
+        w.key("row").value(row == cs.tenants ? std::string("shared")
+                                              : std::string("t").append(std::to_string(row)));
         w.key("sm");
         emit_row(cs.sm, row, sm_name, kNumSmBuckets);
         w.key("nsu");

@@ -1,5 +1,8 @@
 #include "workloads/registry.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "workloads/ops/ops.h"
@@ -44,6 +47,17 @@ std::unique_ptr<Workload> make_workload(const std::string& name, ProblemScale sc
   if (name == "REDUCE") return std::make_unique<ReduceOperator>(scale);
   if (name == "ATTN") return std::make_unique<AttnOperator>(scale);
   throw std::invalid_argument("make_workload: unknown workload '" + name + "'");
+}
+
+void check_workload_names(const std::vector<std::string>& names, void (*usage)(const char*),
+                          const char* argv0) {
+  const std::vector<std::string>& known = all_workload_names();
+  for (const std::string& name : names) {
+    if (std::find(known.begin(), known.end(), name) != known.end()) continue;
+    std::fprintf(stderr, "%s: unknown workload '%s'\n", argv0, name.c_str());
+    usage(argv0);
+    std::exit(2);  // `usage` exits itself; this keeps the refusal certain
+  }
 }
 
 }  // namespace sndp

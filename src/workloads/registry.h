@@ -22,4 +22,10 @@ const std::vector<std::string>& all_workload_names();
 // Throws std::invalid_argument for unknown names.
 std::unique_ptr<Workload> make_workload(const std::string& name, ProblemScale scale);
 
+// For command-line front ends, before any run starts: if make_workload does
+// not accept one of `names`, print "<argv0>: unknown workload 'NAME'" and
+// call `usage(argv0)`, which prints the caller's usage text and exits 2.
+void check_workload_names(const std::vector<std::string>& names, void (*usage)(const char*),
+                          const char* argv0);
+
 }  // namespace sndp

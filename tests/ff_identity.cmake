@@ -1,10 +1,12 @@
 # Runs EXE with ARGS ('|'-separated) twice, with idle fast-forward on and
 # with --no-ff, and fails unless both runs exit 0 and agree exactly: the
 # printed output, and every stat at full precision in the --stats-json
-# files (wall-clock fields blanked).  JSON files go to OUT_DIR.
+# files (wall-clock fields blanked).  JSON files go to OUT_DIR (created if
+# missing; give each test its own).
 #
 #   cmake -DEXE=path -DOUT_DIR=dir "-DARGS=-w|BICG|--stats" -P ff_identity.cmake
 string(REPLACE "|" ";" args "${ARGS}")
+file(MAKE_DIRECTORY "${OUT_DIR}")
 foreach(variant ff noff)
   set(extra "")
   if(variant STREQUAL "noff")

@@ -148,14 +148,30 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, FastForwardDeterminism,
 // for cmd, and for rd/wta on BICG, FWT and BFS), so sleeping SMs must count
 // the refusals their slept retry passes would have made.  BFS offloading
 // every block also fills the SMs' egress queues, so the egress-drain wake
-// is exercised alongside the credit waits.
+// is exercised alongside the credit waits.  The cases with a small SM
+// pending packet buffer also fill it: refused warps sleep through the full
+// buffer, and the slept edges must count their pending-full stalls.
 struct CreditStarvedCase {
   const char* workload;
   OffloadMode mode;
+  unsigned sm_pending_entries = 300;
 };
 
 std::string case_name(const CreditStarvedCase& c) {
-  return std::string(c.workload) + (c.mode == OffloadMode::kAlways ? "_Always" : "_DynCache");
+  std::string name =
+      std::string(c.workload) + (c.mode == OffloadMode::kAlways ? "_Always" : "_DynCache");
+  if (c.sm_pending_entries != NdpBufferConfig{}.sm_pending_entries) {
+    name += "_Pending" + std::to_string(c.sm_pending_entries);
+  }
+  return name;
+}
+
+double sum_pending_full_stalls(const RunResult& r, unsigned num_sms) {
+  double sum = 0.0;
+  for (unsigned i = 0; i < num_sms; ++i) {
+    sum += r.stats.get("sm" + std::to_string(i) + ".pending_full_stalls");
+  }
+  return sum;
 }
 
 void PrintTo(const CreditStarvedCase& c, std::ostream* os) { *os << case_name(c); }
@@ -169,6 +185,7 @@ TEST_P(CreditStarvedFastForward, StatsAreByteIdenticalToNaiveStepping) {
   cfg.ndp_buffers.nsu_cmd_entries = 1;
   cfg.ndp_buffers.nsu_read_data_entries = 4;
   cfg.ndp_buffers.nsu_write_addr_entries = 4;
+  cfg.ndp_buffers.sm_pending_entries = GetParam().sm_pending_entries;
 
   cfg.fast_forward = true;
   auto wl_ff = make_workload(name, ProblemScale::kTiny);
@@ -180,6 +197,10 @@ TEST_P(CreditStarvedFastForward, StatsAreByteIdenticalToNaiveStepping) {
 
   EXPECT_TRUE(ff.completed && ff.verified);
   EXPECT_GT(ff.stats.get("bufmgr.denials"), 0.0) << name;
+  if (GetParam().sm_pending_entries != NdpBufferConfig{}.sm_pending_entries) {
+    EXPECT_GT(sum_pending_full_stalls(ff, cfg.num_sms), 0.0) << name;
+    EXPECT_GT(ff.stats.get("cyc.sm.credit_wait"), 0.0) << name;
+  }
   EXPECT_EQ(ff.sm_cycles, naive.sm_cycles) << name;
   EXPECT_EQ(ff.stats.values(), naive.stats.values()) << name;
 }
@@ -189,7 +210,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CreditStarvedCase{"BICG", OffloadMode::kDynamicCache},
                       CreditStarvedCase{"FWT", OffloadMode::kDynamicCache},
                       CreditStarvedCase{"KMN", OffloadMode::kDynamicCache},
-                      CreditStarvedCase{"BFS", OffloadMode::kAlways}),
+                      CreditStarvedCase{"BFS", OffloadMode::kAlways},
+                      CreditStarvedCase{"BICG", OffloadMode::kAlways, 16},
+                      CreditStarvedCase{"FWT", OffloadMode::kAlways, 16},
+                      CreditStarvedCase{"VADD", OffloadMode::kAlways, 12}),
     [](const ::testing::TestParamInfo<CreditStarvedCase>& info) { return case_name(info.param); });
 
 // Two tenants under a 50% credit share: QoS refusals depend on each
