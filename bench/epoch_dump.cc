@@ -62,11 +62,7 @@ Options parse(int argc, char** argv) {
     if (a == "-w" || a == "--workload") {
       o.workload = need_value(i);
     } else if (a == "-s" || a == "--scale") {
-      const std::string s = need_value(i);
-      o.scale = s == "tiny"    ? ProblemScale::kTiny
-                : s == "large" ? ProblemScale::kLarge
-                : s == "small" ? ProblemScale::kSmall
-                               : (usage(argv[0]), ProblemScale::kSmall);
+      o.scale = parse_scale(need_value(i), usage, argv[0]);
     } else if (a == "-m" || a == "--mode") {
       const std::string m = need_value(i);
       if (m == "off") o.mode = OffloadMode::kOff;

@@ -34,10 +34,8 @@ RunResult run_mode(const std::string& name, ProblemScale scale, OffloadMode mode
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "VADD";
   check_workload_names({name}, usage, argv[0]);
-  const std::string scale_str = argc > 2 ? argv[2] : "small";
-  const ProblemScale scale = scale_str == "tiny"    ? ProblemScale::kTiny
-                             : scale_str == "large" ? ProblemScale::kLarge
-                                                    : ProblemScale::kSmall;
+  const ProblemScale scale =
+      argc > 2 ? parse_scale(argv[2], usage, argv[0]) : ProblemScale::kSmall;
   const Cycle epoch = argc > 3 ? number_or_usage<Cycle>(argv[3], usage, argv[0]) : 2000;
 
   const RunResult base = run_mode(name, scale, OffloadMode::kOff, 0.0, epoch);

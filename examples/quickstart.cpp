@@ -5,18 +5,27 @@
 //   ./quickstart [workload] [scale]
 //   workload: VADD (default) or any Table 1 name; scale: tiny|small|large
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "sndp.h"
 
 using namespace sndp;
 
+namespace {
+
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr, "usage: %s [workload] [tiny|small|large]\n", argv0);
+  std::exit(2);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "VADD";
+  check_workload_names({name}, usage, argv[0]);
   const std::string scale_str = argc > 2 ? argv[2] : "small";
-  const ProblemScale scale = scale_str == "tiny"    ? ProblemScale::kTiny
-                             : scale_str == "large" ? ProblemScale::kLarge
-                                                    : ProblemScale::kSmall;
+  const ProblemScale scale = parse_scale(scale_str, usage, argv[0]);
 
   // Baseline: the paper's Table 2 GPU, NDP off.
   SystemConfig base_cfg = SystemConfig::paper();

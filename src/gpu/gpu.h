@@ -74,14 +74,14 @@ class Gpu {
   void finalize(Cycle end_cycle);
 
   // Cycle-stack profiler: flush every SM's pending fast-forward gap up to
-  // `end_cycle` (exact — a sleeping SM's gap class is constant, so the
+  // `end_cycle` (exact — a sleeping SM's gap bucket is constant, so the
   // split replay lands in the same buckets) WITHOUT advancing the governor
   // epoch clock.  Called at epoch boundaries before the audit / timeline
   // read the stacks, so boundary values are stepping-mode-independent.
   void sync_cycle_stacks(Cycle end_cycle);
   // Machine-wide SM stack: per-tenant bucket sums over all SMs, with each
   // SM's post-last-activity no-warp tail re-billed from dispatch-idle to
-  // drained.  Empty rows when profiling is off.
+  // drained.
   SmCycleStack cycle_stack() const;
   std::uint64_t total_counted_cycles() const;
 

@@ -35,12 +35,9 @@ Sm::Sm(SmId id, const SystemContext& ctx)
   free_cta_slots_ = cfg_.max_ctas;
   fast_forward_ = ctx.cfg->fast_forward;
   issued_by_tenant_.resize(ctx.num_tenants(), 0);
-  profile_ = ctx.cfg->profile;
-  if (profile_) {
-    cyc_.init(ctx.num_tenants());
-    pending_dep_cycles_.assign(cfg_.max_warps(), 0);
-    warp_worst_serve_.assign(cfg_.max_warps(), 0);
-  }
+  cyc_.init(ctx.num_tenants());
+  pending_dep_cycles_.assign(cfg_.max_warps(), 0);
+  warp_worst_serve_.assign(cfg_.max_warps(), 0);
 }
 
 bool Sm::can_accept_cta(unsigned tenant) const {
@@ -123,12 +120,10 @@ unsigned Sm::alloc_tracker() {
 void Sm::complete_tracker(unsigned idx, Cycle cycle, LineServe serve) {
   LoadTracker& t = trackers_.at(idx);
   if (!t.valid || t.lines_pending == 0) throw std::logic_error("Sm: bad tracker completion");
-  if (profile_) {
-    // Remember the deepest level that served any of this warp's fills; the
-    // warp's parked dep-pending cycles are re-billed to it at next issue.
-    auto& worst = warp_worst_serve_[t.warp];
-    worst = std::max(worst, static_cast<std::uint8_t>(serve));
-  }
+  // Remember the deepest level that served any of this warp's fills; the
+  // warp's parked dep-pending cycles are re-billed to it at next issue.
+  auto& worst = warp_worst_serve_[t.warp];
+  worst = std::max(worst, static_cast<std::uint8_t>(serve));
   if (--t.lines_pending > 0) return;
   Warp& w = warps_.at(t.warp);
   w.scoreboard.complete_load(t.dst, cycle);
@@ -248,37 +243,21 @@ void Sm::apply_gap(Cycle gap) {
   replay_stalls(gap);
 }
 
-// The issue-scan half of apply_gap: the stall class and full-pending-buffer
+// The issue-scan half of apply_gap: the stall bucket and full-pending-buffer
 // refusals each slept edge repeats.  Pending entries are freed only by a
 // grant in this SM's own retry pass, which needs a credit poke to wake it,
-// so every warp refused for pending space stays refused while asleep.
+// so every warp refused for pending space stays refused while asleep.  The
+// blocked state a sleeping SM froze in is constant across the gap, so the
+// bucket recorded at the sleep decision replays verbatim.
 void Sm::replay_stalls(Cycle gap) {
   pending_full_stalls_ += std::uint64_t{pending_full_tally_} * gap;
-  switch (gap_class_) {
-    case GapClass::kDependency:
-      active_cycles += gap;
-      stall_dependency += gap;
-      break;
-    case GapClass::kExecBusy:
-      active_cycles += gap;
-      stall_exec_busy += gap;
-      break;
-    case GapClass::kWarpIdle:
-      active_cycles += gap;
-      stall_warp_idle += gap;
-      break;
-    case GapClass::kNoWarp:
-      if (profile_) {
-        no_warp_cycles_ += gap;
-        cyc_.add(cyc_.shared_row(), static_cast<std::size_t>(SmBucket::kDispatchIdle), gap);
-      }
-      return;
-    case GapClass::kNone:
-      return;
+  if (gap_bucket_ == kNoReplay) return;
+  if (gap_bucket_ == SmBucket::kDispatchIdle) {
+    no_warp_cycles_ += gap;
+  } else {
+    active_cycles += gap;
   }
-  // The blocked state a sleeping SM froze in is constant across the gap, so
-  // the refined bucket recorded at the sleep decision replays verbatim.
-  if (profile_) add_stall_cycles(gap);
+  add_stall_cycles(gap);
 }
 
 // Account `n` stall cycles to the bucket classify_stall_cycle() chose.
@@ -287,10 +266,10 @@ void Sm::add_stall_cycles(Cycle n) {
   if (gap_pending_warp_ != kInvalidId) pending_dep_cycles_[gap_pending_warp_] += n;
 }
 
-// Pick the refined bucket (and owning tenant row) for one no-issue cycle
-// with at least one valid warp, mirroring the Fig. 8 priority exactly:
-// dependency before exec-busy before warp-idle.  The result is stored in
-// gap_{bucket,row,pending_warp}_ so the sleep path replays the same class.
+// Pick the bucket (and owning tenant row) for one no-issue cycle with at
+// least one valid warp, in the Fig. 8 priority: dependency before exec-busy
+// before warp-idle.  The result is stored in gap_{bucket,row,pending_warp}_
+// so the sleep path replays the same bucket.
 void Sm::classify_stall_cycle(Cycle cycle, bool saw_dep, bool saw_busy) {
   gap_pending_warp_ = kInvalidId;
   if (saw_dep) {
@@ -423,15 +402,14 @@ void Sm::tick(Cycle cycle, TimePs now) {
     // The no-warp total is constant across any contiguous active period, so
     // refreshing the snapshot at every active tick is fast-forward-invariant
     // and leaves it holding the pre-last-activity share (dispatch idle).
-    if (profile_) no_warp_snapshot_ = no_warp_cycles_;
-  } else if (profile_) {
+    no_warp_snapshot_ = no_warp_cycles_;
+  } else {
     ++no_warp_cycles_;
     cyc_.add(cyc_.shared_row(), static_cast<std::size_t>(SmBucket::kDispatchIdle), 1);
   }
 
   bool saw_dep = false;
   bool saw_busy = false;
-  bool any_ready = false;
   bool issued = false;
   // Earliest cycle at which any blocked ready warp could unblock on its own
   // (timed scoreboard entry, exec unit freeing up); kCycleNever when every
@@ -441,34 +419,29 @@ void Sm::tick(Cycle cycle, TimePs now) {
 
   egress_blocked_ = false;
   pending_full_tally_ = 0;
-  if (profile_) {
-    dep_warp_ = kInvalidId;
-    busy_warp_ = kInvalidId;
-  }
+  dep_warp_ = kInvalidId;
+  busy_warp_ = kInvalidId;
 
   auto consider = [&](Warp& w) -> bool {
     if (w.state != WarpState::kReady) return false;
-    any_ready = true;
     switch (try_issue(w, cycle, now)) {
       case IssueOutcome::kIssued:
         issued = true;
         ++issued_instrs;
         ++issued_by_tenant_[w.tenant];
         ++w.issue_stamp;  // invalidates the warp's coalesce memo
-        if (profile_) {
-          cyc_.add(w.tenant, static_cast<std::size_t>(SmBucket::kIssue), 1);
-          flush_pending_dep(w);
-        }
+        cyc_.add(w.tenant, static_cast<std::size_t>(SmBucket::kIssue), 1);
+        flush_pending_dep(w);
         return true;
       case IssueOutcome::kDependency:
         saw_dep = true;
-        if (profile_ && dep_warp_ == kInvalidId) dep_warp_ = w.id;
+        if (dep_warp_ == kInvalidId) dep_warp_ = w.id;
         self_wake = std::min(
             self_wake, w.scoreboard.ready_cycle(ctx_.image_of(w.tenant)->gpu.at(w.pc)));
         return false;
       case IssueOutcome::kExecBusy:
         saw_busy = true;
-        if (profile_ && busy_warp_ == kInvalidId) {
+        if (busy_warp_ == kInvalidId) {
           busy_warp_ = w.id;
           busy_warp_cause_ = busy_cause_;
         }
@@ -487,18 +460,7 @@ void Sm::tick(Cycle cycle, TimePs now) {
     }
   }
 
-  if (!issued && any_warp) {
-    // Fig. 8 classification.
-    if (saw_dep) {
-      ++stall_dependency;
-    } else if (saw_busy) {
-      ++stall_exec_busy;
-    } else {
-      ++stall_warp_idle;
-      (void)any_ready;
-    }
-    if (profile_) classify_stall_cycle(cycle, saw_dep, saw_busy);
-  }
+  if (!issued && any_warp) classify_stall_cycle(cycle, saw_dep, saw_busy);
 
   // Decide whether the SM can sleep (hints are maintained in both stepping
   // modes, so a naive run differs from a fast-forward run only in the
@@ -510,29 +472,28 @@ void Sm::tick(Cycle cycle, TimePs now) {
   // release on a waited HMC sets credits_moved_, which holds next_work_ps
   // at 0; that covers a grant late in this tick's own retry pass, too.
   // apply_gap counts the credit refusals and pending-full stalls they
-  // repeat on slept edges.  The gap class records what each slept cycle
-  // counts as in Fig. 8, mirroring the dependency-before-busy priority
-  // above.
-  gap_class_ = GapClass::kNone;
+  // repeat on slept edges, and replays the bucket classify_stall_cycle()
+  // chose for this cycle.
+  auto no_warp_gap = [&] {
+    gap_bucket_ = SmBucket::kDispatchIdle;
+    gap_row_ = cyc_.shared_row();
+    gap_pending_warp_ = kInvalidId;
+  };
   if (!busy()) {
     // Fully drained (the last warp may have exited this very cycle): only a
     // new CTA re-arms the SM, and assign_cta lowers the hint directly.
-    // Slept edges carry no warps: no-warp cycles for the profiler.
-    gap_class_ = GapClass::kNoWarp;
+    // Slept edges carry no warps: no-warp cycles.
+    no_warp_gap();
     wake_ps_ = kTimeNever;
     return;
   }
   wake_ps_ = now;  // default: busy at the next edge
-  if (issued) return;
-  if (any_ready) {
-    gap_class_ = saw_dep ? GapClass::kDependency : GapClass::kExecBusy;
-  } else if (any_warp) {
-    gap_class_ = GapClass::kWarpIdle;
-  } else {
-    // Busy (trackers / egress draining) but no resident warp: the profiler
-    // still has to account these cycles somewhere — no-warp.
-    gap_class_ = GapClass::kNoWarp;
+  if (issued) {
+    gap_bucket_ = kNoReplay;
+    return;
   }
+  // Busy (trackers / egress draining) but no resident warp: no-warp too.
+  if (!any_warp) no_warp_gap();
   TimePs wake = kTimeNever;
   if (!line_fills_.empty()) wake = std::min(wake, line_fills_.front_ready_ps());
   if (!acks_in_.empty()) wake = std::min(wake, acks_in_.front_ready_ps());
@@ -1084,9 +1045,9 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
 void Sm::export_stats(StatSet& out, const std::string& prefix) const {
   out.set(prefix + ".issued_instrs", static_cast<double>(issued_instrs));
   out.set(prefix + ".active_cycles", static_cast<double>(active_cycles));
-  out.set(prefix + ".stall_dependency", static_cast<double>(stall_dependency));
-  out.set(prefix + ".stall_exec_busy", static_cast<double>(stall_exec_busy));
-  out.set(prefix + ".stall_warp_idle", static_cast<double>(stall_warp_idle));
+  out.set(prefix + ".stall_dependency", static_cast<double>(stall_dependency()));
+  out.set(prefix + ".stall_exec_busy", static_cast<double>(stall_exec_busy()));
+  out.set(prefix + ".stall_warp_idle", static_cast<double>(stall_warp_idle()));
   out.set(prefix + ".offloads_started", static_cast<double>(offloads_started_));
   out.set(prefix + ".inline_blocks", static_cast<double>(inline_blocks_));
   out.set(prefix + ".ofld_acks", static_cast<double>(ofld_acks_));

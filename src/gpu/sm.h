@@ -7,7 +7,9 @@
 // instruction is classified as Dependency Stall (some warp's operands were
 // not ready), ExecUnitBusy (some warp was ready but its execution resource
 // was occupied), or Warp Idle (no warp had a valid instruction — includes
-// warps blocked on barriers or on offload ACKs).
+// warps blocked on barriers or on offload ACKs).  The SM's cycle stack
+// (src/obs/cycle_stack.*) is the only record of that classification: each
+// Fig. 8 counter is the sum of the bucket group that refines it.
 #pragma once
 
 #include <array>
@@ -74,7 +76,7 @@ class Sm final : public Tickable {
     if (egress_blocked_ && now < wake_ps_) wake_ps_ = now;
   }
 
-  // Flush skipped-cycle stall/active counters up to the end of the run;
+  // Flush skipped-cycle stack/active counters up to the end of the run;
   // called by the Simulator with the SM domain's consumed-edge count before
   // stats are read.  Idempotent.
   void finalize(Cycle end_cycle);
@@ -120,10 +122,9 @@ class Sm final : public Tickable {
   // is the whole SM on the single-tenant path).
   const std::vector<std::uint64_t>& issued_by_tenant() const { return issued_by_tenant_; }
 
-  // --- Cycle-stack profiler (src/obs/cycle_stack.*) ------------------------
-  // Per-tenant bucket counters; empty rows when SystemConfig::profile is
-  // off.  counted_cycles() is every cycle the profiler accounted for —
-  // active_cycles plus the no-warp cycles the legacy counters never count —
+  // --- Cycle stack (src/obs/cycle_stack.*) ----------------------------------
+  // Per-tenant bucket counters.  counted_cycles() is every cycle the stack
+  // accounted for — active_cycles plus the no-warp cycles outside Fig. 8 —
   // and equals the elapsed SM cycle count once flushed via finalize().
   const SmCycleStack& cycle_stack() const { return cyc_; }
   std::uint64_t counted_cycles() const { return active_cycles + no_warp_cycles_; }
@@ -133,12 +134,14 @@ class Sm final : public Tickable {
   std::uint64_t no_warp_dispatch_cycles() const { return no_warp_snapshot_; }
   std::uint64_t no_warp_drained_cycles() const { return no_warp_cycles_ - no_warp_snapshot_; }
 
-  // Fig. 8 counters (public for cheap aggregation).
+  // Fig. 8 stall counters, read from the cycle stack.
+  std::uint64_t stall_dependency() const { return sm_group_cycles(cyc_, SmBucketGroup::kDep); }
+  std::uint64_t stall_exec_busy() const { return sm_group_cycles(cyc_, SmBucketGroup::kExecBusy); }
+  std::uint64_t stall_warp_idle() const { return sm_group_cycles(cyc_, SmBucketGroup::kWarpIdle); }
+
+  // Public for cheap aggregation.
   std::uint64_t issued_instrs = 0;
   std::uint64_t active_cycles = 0;   // cycles with at least one valid warp
-  std::uint64_t stall_dependency = 0;
-  std::uint64_t stall_exec_busy = 0;
-  std::uint64_t stall_warp_idle = 0;
 
  private:
   struct LoadTracker {
@@ -158,10 +161,8 @@ class Sm final : public Tickable {
 
   enum class IssueOutcome { kIssued, kDependency, kExecBusy };
 
-  // What each skipped (slept) cycle would have counted in naive stepping.
-  // kNoWarp cycles are outside active_cycles — the legacy counters ignore
-  // them; the cycle-stack profiler accounts them (dispatch idle / drained).
-  enum class GapClass { kNone, kDependency, kExecBusy, kWarpIdle, kNoWarp };
+  // gap_bucket_ value for "a slept edge counts nothing" (the SM issued).
+  static constexpr SmBucket kNoReplay = SmBucket::kCount;
 
   // Why the first exec-busy warp of the cycle was blocked: a real unit /
   // queue conflict, or NDP pending-buffer credit starvation.
@@ -190,7 +191,6 @@ class Sm final : public Tickable {
   void push_out(Packet&& p, TimePs ready_ps);
   void apply_gap(Cycle gap);
   void replay_stalls(Cycle gap);
-  // Cycle-stack helpers (profiler on only).
   void classify_stall_cycle(Cycle cycle, bool saw_dep, bool saw_busy);
   void add_stall_cycles(Cycle n);
   void flush_pending_dep(Warp& w);
@@ -226,7 +226,6 @@ class Sm final : public Tickable {
   // Fast-forward state (see next_work_ps / finalize).
   bool fast_forward_ = false;
   TimePs wake_ps_ = 0;
-  GapClass gap_class_ = GapClass::kNone;
   Cycle next_expected_cycle_ = 0;
   // Set by every kExecBusy return in try_issue: the cycle at which a retry
   // could succeed (unit-busy cases), or kCycleNever when only an external
@@ -284,8 +283,7 @@ class Sm final : public Tickable {
   std::uint64_t wta_packets_ = 0;
   std::uint64_t pending_full_stalls_ = 0;
 
-  // --- Cycle-stack profiler state (untouched when profile_ is false). ------
-  bool profile_ = false;
+  // --- Cycle-stack state. --------------------------------------------------
   SmCycleStack cyc_;  // rows: tenants + shared; no-warp accrues in the
                       // shared kDispatchIdle bucket (drained split on read)
   std::uint64_t no_warp_cycles_ = 0;
@@ -299,9 +297,10 @@ class Sm final : public Tickable {
   unsigned busy_warp_ = kInvalidId;   // first warp that returned kExecBusy
   BusyCause busy_warp_cause_ = BusyCause::kUnit;
   BusyCause busy_cause_ = BusyCause::kUnit;  // set by every kExecBusy return
-  // Refined class of the cycle the sleep decision froze (valid while
-  // gap_class_ != kNone/kNoWarp); replayed by apply_gap.
-  SmBucket gap_bucket_ = SmBucket::kIssue;
+  // What each slept cycle counts in naive stepping: the bucket and row of
+  // the cycle the sleep decision froze (kDispatchIdle on the shared row when
+  // no warp is resident; kNoReplay when nothing), replayed by apply_gap.
+  SmBucket gap_bucket_ = kNoReplay;
   unsigned gap_row_ = 0;
   unsigned gap_pending_warp_ = kInvalidId;
 };

@@ -35,7 +35,9 @@ class VaultController final : public Tickable {
  public:
   using CompletionFn = std::function<void(const DramRequest&, TimePs done_ps)>;
 
-  VaultController(const HmcConfig& cfg, std::uint64_t dram_khz, CompletionFn on_complete);
+  // `tenants` sizes the cycle stack's rows (plus the shared row).
+  VaultController(const HmcConfig& cfg, std::uint64_t dram_khz, CompletionFn on_complete,
+                  unsigned tenants = 1);
 
   bool can_accept() const { return queue_.size() < cfg_.vault_queue_size; }
   std::size_t queue_depth() const { return queue_.size(); }
@@ -64,12 +66,11 @@ class VaultController final : public Tickable {
   std::uint64_t row_misses = 0;
   Distribution queue_latency_ps;
 
-  // Cycle-stack profiler (src/obs/cycle_stack.*).  Busy edges (queue
-  // non-empty) are classified live — the vault never sleeps while its queue
-  // is non-empty, so the busy classification is fast-forward-invariant.
+  // Cycle stack (src/obs/cycle_stack.*).  Busy edges (queue non-empty) are
+  // classified live — the vault never sleeps while its queue is non-empty,
+  // so the busy classification is fast-forward-invariant.
   // Idle is derived once at finalize() as end_cycle minus counted busy
   // edges.  Bucket sum == counted_cycles() at any instant.
-  void enable_profile(unsigned tenants);
   void finalize(Cycle end_cycle);
   const VaultCycleStack& cycle_stack() const { return cyc_; }
   std::uint64_t counted_cycles() const { return counted_cycles_; }
@@ -87,7 +88,6 @@ class VaultController final : public Tickable {
   Cycle bus_free_ = 0;              // shared vault data bus (tCCD pacing)
   TimedChannel<DramRequest> completed_;
 
-  bool profile_ = false;
   VaultCycleStack cyc_;
   std::uint64_t counted_cycles_ = 0;
 };

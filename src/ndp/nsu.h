@@ -148,9 +148,7 @@ class Nsu final : public Tickable {
   std::vector<std::uint64_t> icache_pc_bits_;
   std::uint64_t icache_pcs_ = 0;
 
-  // Cycle-stack profiler state (zero-cost when cfg.profile is off).
-  bool profile_ = false;
-  NsuCycleStack cyc_;
+  NsuCycleStack cyc_;  // src/obs/cycle_stack.*
 };
 
 }  // namespace sndp

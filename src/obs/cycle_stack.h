@@ -1,26 +1,23 @@
-// Machine-wide cycle-stack profiler (DESIGN.md "Observability").
+// Machine-wide cycle stacks (DESIGN.md "Observability").
 //
-// Exhaustive top-down cycle accounting: every counted cycle of every SM,
-// NSU lane engine, and DRAM vault lands in exactly one bucket, keyed per
-// tenant.  The SM buckets refine the three coarse Fig. 8 stall counters
-// (ExecBusy / WarpIdle / DepStall) down to the blocking source — which
-// memory level served the load a dependency stall waited on, whether an
-// exec-busy cycle was a real unit conflict or NDP credit starvation, and
-// why warp-idle cycles happened (offload acks vs. barriers vs. draining).
-// NSU and vault buckets complete the machine view.
+// Exhaustive top-down cycle accounting, always on: every counted cycle of
+// every SM, NSU lane engine, and DRAM vault lands in exactly one bucket,
+// keyed per tenant.  The SM stack is the only place SM stall time is
+// counted: the paper's three Fig. 8 counters (ExecBusy / WarpIdle /
+// DepStall) are the sums of their bucket groups (sm_group_cycles), and the
+// buckets say more — which memory level served the load a dependency stall
+// waited on, whether an exec-busy cycle was a real unit conflict or NDP
+// credit starvation, and why warp-idle cycles happened (offload acks vs.
+// barriers vs. draining).  NSU and vault buckets complete the machine view.
 //
-// Invariants (enforced by StatsAudit at every epoch boundary when the
-// profiler is on):
-//   - per component: sum over buckets == the component's counted cycles
-//     (SM `active_cycles` + no-warp cycles; NSU `tick_count_`; vault busy +
-//     idle cycles),
-//   - per group: the SM dep / exec-busy / warp-idle bucket groups sum to
-//     the legacy stall counters exactly, so Fig. 8 is derivable,
+// Invariants (enforced by StatsAudit at every epoch boundary):
+//   - per component: sum over buckets == the component's counted cycles,
+//     an independent counter (SM `active_cycles` + no-warp cycles; NSU
+//     `tick_count_`; vault busy + idle cycles),
+//   - the SM issue bucket == the issued-instruction counter,
 //   - per tenant: tenant rows + the shared row partition the totals.
 //
 // Counters live inside the components and are summed only at end of run.
-// Zero-cost when `SystemConfig::profile` is false: no bucket counter is
-// ever touched and no `cyc.*` key is exported.
 #pragma once
 
 #include <array>
@@ -35,8 +32,8 @@ class StatSet;
 
 // ---------------------------------------------------------------------------
 // SM buckets.  The first twelve partition `active_cycles` (cycles with at
-// least one valid warp); the last two cover the no-warp cycles the legacy
-// counters never counted.
+// least one valid warp); the last two cover the no-warp cycles outside
+// Fig. 8.
 // ---------------------------------------------------------------------------
 enum class SmBucket : std::uint8_t {
   kIssue,          // a warp issued an instruction this cycle
@@ -62,12 +59,12 @@ inline constexpr std::size_t kNumSmBuckets =
 // Stat-key / column spelling, e.g. "dep_dram_local".
 const char* sm_bucket_name(SmBucket b);
 
-// Legacy Fig. 8 grouping: which coarse counter a bucket refines.
+// Fig. 8 grouping: which coarse counter a bucket refines.
 enum class SmBucketGroup : std::uint8_t {
   kIssue,     // == issued_instrs
-  kExecBusy,  // == stall_exec_busy
-  kDep,       // == stall_dependency
-  kWarpIdle,  // == stall_warp_idle
+  kExecBusy,  // stall_exec_busy
+  kDep,       // stall_dependency
+  kWarpIdle,  // stall_warp_idle
   kNoWarp,    // outside active_cycles
 };
 SmBucketGroup sm_bucket_group(SmBucket b);
@@ -154,13 +151,14 @@ using SmCycleStack = BucketStack<kNumSmBuckets>;
 using NsuCycleStack = BucketStack<kNumNsuBuckets>;
 using VaultCycleStack = BucketStack<kNumVaultBuckets>;
 
+// Cycles in the buckets of group `g`, over all rows: a Fig. 8 counter.
+std::uint64_t sm_group_cycles(const SmCycleStack& s, SmBucketGroup g);
+
 // ---------------------------------------------------------------------------
 // Machine summary, assembled by Simulator::run from the per-component
-// stacks after finalize.  `enabled` is false when SystemConfig::profile was
-// off — every field is then zero and nothing is exported.
+// stacks after finalize.
 // ---------------------------------------------------------------------------
 struct CycleStackSummary {
-  bool enabled = false;
   unsigned tenants = 1;
   SmCycleStack sm;
   NsuCycleStack nsu;
@@ -174,7 +172,7 @@ struct CycleStackSummary {
 // Emit `cyc.sm.<bucket>` / `cyc.nsu.<bucket>` / `cyc.vault.<bucket>` machine
 // totals (plus `cyc.<component>.total`), and per-tenant
 // `cyc.t<N>.<component>.<bucket>` rows plus the `cyc.shared.*` row when the
-// run had more than one tenant.  No-op when `s.enabled` is false.
+// run had more than one tenant.
 void export_cycle_stats(const CycleStackSummary& s, StatSet& out);
 
 // Amdahl-style what-if bound: the speedup ceiling if `leaf` cycles of
@@ -182,10 +180,9 @@ void export_cycle_stats(const CycleStackSummary& s, StatSet& out);
 // when leaf == total; 1.0 when leaf == 0 or total == 0.
 double whatif_bound(std::uint64_t total, std::uint64_t leaf);
 
-// Render the top-down tree for one component's stack: per-bucket cycles,
+// Render the top-down tree of each component's stack: per-bucket cycles,
 // share of the component total, and the what-if bound per leaf, sorted by
-// weight.  `indent` prefixes every line.  Used by bench/bottleneck_report
-// and the tests.
+// weight.  Used by bench/bottleneck_report and the tests.
 std::string format_cycle_tree(const CycleStackSummary& s);
 
 }  // namespace sndp

@@ -219,21 +219,13 @@ void EpochTimeline::emit_trace(TraceWriter& trace, int tid) const {
                   static_cast<double>(s.pages_migrated));
   }
   // Cycle-stack counter tracks: one series per SM bucket, as cumulative
-  // cycle totals (Perfetto renders absolute counter values best).  Skipped
-  // entirely when profiling was off (all-zero deltas).
-  bool any_stack = false;
+  // cycle totals (Perfetto renders absolute counter values best).
+  std::array<std::int64_t, kNumSmBuckets> cum{};
   for (const EpochSample& s : samples_) {
-    for (const std::int64_t v : s.sm_stack) any_stack = any_stack || v != 0;
-  }
-  if (any_stack) {
-    std::array<std::int64_t, kNumSmBuckets> cum{};
-    for (const EpochSample& s : samples_) {
-      for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
-        cum[b] += s.sm_stack[b];
-        trace.counter(std::string("cyc_") +
-                          sm_bucket_name(static_cast<SmBucket>(b)),
-                      tid, s.end_ps, static_cast<double>(cum[b]));
-      }
+    for (std::size_t b = 0; b < kNumSmBuckets; ++b) {
+      cum[b] += s.sm_stack[b];
+      trace.counter(std::string("cyc_") + sm_bucket_name(static_cast<SmBucket>(b)), tid,
+                    s.end_ps, static_cast<double>(cum[b]));
     }
   }
 }

@@ -67,7 +67,7 @@ struct EpochSample {
 
   // Machine-wide SM cycle-stack deltas this epoch (src/obs/cycle_stack.*,
   // sampled at the boundary after Gpu::sync_cycle_stacks); all zero when
-  // profiling is off.  Signed: the sum-preserving pending-dep
+  // on_epoch got no stack.  Signed: the sum-preserving pending-dep
   // reclassification can drain a bucket between boundaries.
   std::array<std::int64_t, kNumSmBuckets> sm_stack{};
 

@@ -108,7 +108,6 @@ struct RunResult {
 
   // Machine-wide cycle stacks (src/obs/cycle_stack.*): per-tenant SM / NSU /
   // vault bucket counters, exhaustive over each component's counted cycles.
-  // `cycle_stack.enabled` is false when `SystemConfig::profile` is off.
   CycleStackSummary cycle_stack;
 
   // Per-tenant results; empty on single-tenant runs.

@@ -145,7 +145,7 @@ void outcome_to_json(JsonWriter& w, const SweepOutcome& o) {
   // content — must precede "timing".  Machine totals per component; the
   // per-tenant rows (plus the shared row) appear only on multi-tenant runs,
   // mirroring the `cyc.*` stat export.
-  if (r.cycle_stack.enabled) {
+  if (o.ran) {
     const CycleStackSummary& cs = r.cycle_stack;
     auto emit_row = [&w](const auto& stack, unsigned row, auto name_of,
                          std::size_t nbuckets) {

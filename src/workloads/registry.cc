@@ -60,4 +60,14 @@ void check_workload_names(const std::vector<std::string>& names, void (*usage)(c
   }
 }
 
+ProblemScale parse_scale(const std::string& text, void (*usage)(const char*),
+                         const char* argv0) {
+  if (text == "tiny") return ProblemScale::kTiny;
+  if (text == "small") return ProblemScale::kSmall;
+  if (text == "large") return ProblemScale::kLarge;
+  std::fprintf(stderr, "%s: unknown scale '%s'\n", argv0, text.c_str());
+  usage(argv0);
+  std::exit(2);  // as in check_workload_names
+}
+
 }  // namespace sndp

@@ -28,4 +28,10 @@ std::unique_ptr<Workload> make_workload(const std::string& name, ProblemScale sc
 void check_workload_names(const std::vector<std::string>& names, void (*usage)(const char*),
                           const char* argv0);
 
+// For command-line front ends: "tiny" | "small" | "large".  Anything else
+// prints "<argv0>: unknown scale 'TEXT'" and calls `usage(argv0)`, which
+// prints the caller's usage text and exits 2.
+ProblemScale parse_scale(const std::string& text, void (*usage)(const char*),
+                         const char* argv0);
+
 }  // namespace sndp

@@ -98,5 +98,58 @@ TEST_F(GoldenStats, Fig09ConvergedOffloadRatios) {
   }
 }
 
+// Fig. 8 counters, pinned exactly, per workload, for the baseline and for
+// naive NDP: the machine-wide stall classes and the active cycles of the SMs
+// the stat set exports (`sm0`..`sm3`).  Any change to how a stalled SM cycle
+// is classified — or to which cycles are counted at all — moves one of
+// these numbers.
+TEST_F(GoldenStats, Fig8StallCountersExact) {
+  struct Fig8 {
+    std::uint64_t dependency, exec_busy, warp_idle;
+    std::uint64_t active;  // Σ sm<i>.active_cycles
+  };
+  // clang-format off
+  const std::map<std::string, Fig8> expected_off = {
+      {"BFS", {6645, 825, 0, 9310}},      {"BICG", {1260, 0, 0, 2940}},
+      {"BPROP", {6577, 1, 0, 10258}},    {"FWT", {3209, 4, 0, 2116}},
+      {"KMN", {634, 0, 0, 1354}},        {"MiniFE", {2506, 48, 0, 3562}},
+      {"SP", {616, 0, 0, 1480}},         {"STCL", {5683, 49, 0, 2332}},
+      {"STN", {1962, 0, 0, 1324}},       {"VADD", {620, 0, 0, 1484}},
+  };
+  const std::map<std::string, Fig8> expected_always = {
+      {"BFS", {6417, 1120, 577, 9954}},      {"BICG", {2212, 37, 307, 4236}},
+      {"BPROP", {2001, 882, 15477, 22040}},  {"FWT", {16, 28, 2896, 1772}},
+      {"KMN", {942, 10, 322, 1994}},         {"MiniFE", {2207, 181, 276, 3672}},
+      {"SP", {822, 24, 538, 2248}},          {"STCL", {4263, 2718, 10356, 5170}},
+      {"STN", {565, 11, 12776, 3828}},       {"VADD", {804, 18, 410, 2096}},
+  };
+  // clang-format on
+  auto check = [](const std::map<std::string, RunResult>& runs,
+                  const std::map<std::string, Fig8>& expected, const char* mode) {
+    EXPECT_EQ(runs.size(), expected.size()) << mode;
+    for (const auto& [name, r] : runs) {
+      std::uint64_t active = 0;
+      for (const auto& [key, value] : r.stats.values()) {
+        if (key.rfind("sm", 0) == 0 && key.ends_with(".active_cycles")) {
+          active += static_cast<std::uint64_t>(value);
+        }
+      }
+      const Fig8 got{r.stall_dependency, r.stall_exec_busy, r.stall_warp_idle, active};
+      const auto it = expected.find(name);
+      if (it == expected.end()) {  // prints the row to pin
+        ADD_FAILURE() << mode << ": {\"" << name << "\", {" << got.dependency << ", "
+                      << got.exec_busy << ", " << got.warp_idle << ", " << got.active << "}},";
+        continue;
+      }
+      EXPECT_EQ(got.dependency, it->second.dependency) << mode << ' ' << name;
+      EXPECT_EQ(got.exec_busy, it->second.exec_busy) << mode << ' ' << name;
+      EXPECT_EQ(got.warp_idle, it->second.warp_idle) << mode << ' ' << name;
+      EXPECT_EQ(got.active, it->second.active) << mode << ' ' << name;
+    }
+  };
+  check(base_, expected_off, "off");
+  check(naive_, expected_always, "always");
+}
+
 }  // namespace
 }  // namespace sndp
