@@ -1,25 +1,19 @@
 // Regression diff between two perf_throughput result files.
 //
-//   bench_compare BASELINE.json CURRENT.json [--cycles-threshold PCT]
-//                 [--time-threshold PCT]
+//   bench_compare BASELINE.json CURRENT.json
 //
 // Both inputs are `perf_throughput --stats-json` output (sndp-bench-v1, e.g.
 // the committed BENCH_sim_throughput.json).  Rows are matched by
-// workload/mode.  A row regresses when
+// workload/mode.  Only the deterministic column is compared: a row is
+// flagged when its sim_cycles differ at all, in either direction.
+// Simulated results do not move unless a change means them to, so any
+// difference must be acknowledged by refreshing the baseline.  Wall-clock
+// columns depend on the host and are not compared.
 //
-//   * sim_cycles grows by more than --cycles-threshold percent (default 0:
-//     simulated cycles are deterministic, so any growth is a real model
-//     change and must be acknowledged by refreshing the baseline), or
-//   * wall_ff_s grows by more than --time-threshold percent (default 50:
-//     wall clock is machine- and load-dependent, so only large slowdowns are
-//     flagged).
-//
-// Prints one line per changed row and exits 1 when any regression was
-// flagged, 0 otherwise (missing rows in CURRENT also flag).  The two files
-// must record the same problem scale — tiny-scale smoke rows against a
-// small-scale baseline are not comparable and exit 2.  Intended as a
-// non-gating CI step: the exit code marks the PR for a human look, not a
-// hard failure.
+// Prints one line per changed row and exits 1 when any row was flagged, 0
+// otherwise (missing rows in CURRENT also flag).  The two files must record
+// the same problem scale — tiny-scale smoke rows against a small-scale
+// baseline are not comparable and exit 2.
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -30,8 +24,6 @@
 #include <sstream>
 #include <string>
 #include <vector>
-
-#include "common/parse.h"
 
 namespace {
 
@@ -195,7 +187,6 @@ class JsonParser {
 
 struct BenchRow {
   double sim_cycles = 0.0;
-  double wall_ff_s = 0.0;
 };
 
 bool load_rows(const char* path, std::map<std::string, BenchRow>* rows,
@@ -228,43 +219,23 @@ bool load_rows(const char* path, std::map<std::string, BenchRow>* rows,
     const JsonValue* wl = r.find("workload");
     const JsonValue* mode = r.find("mode");
     const JsonValue* cyc = r.find("sim_cycles");
-    const JsonValue* wall = r.find("wall_ff_s");
-    if (wl == nullptr || mode == nullptr || cyc == nullptr || wall == nullptr) continue;
-    (*rows)[wl->str + "/" + mode->str] = BenchRow{cyc->number, wall->number};
+    if (wl == nullptr || mode == nullptr || cyc == nullptr) continue;
+    (*rows)[wl->str + "/" + mode->str] = BenchRow{cyc->number};
   }
   return true;
 }
 
 [[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s BASELINE.json CURRENT.json [--cycles-threshold PCT] "
-               "[--time-threshold PCT]\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s BASELINE.json CURRENT.json\n", argv0);
   std::exit(2);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* baseline_path = nullptr;
-  const char* current_path = nullptr;
-  double cycles_pct = 0.0;
-  double time_pct = 50.0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--cycles-threshold" && i + 1 < argc) {
-      cycles_pct = sndp::number_or_usage<double>(argv[++i], usage, argv[0]);
-    } else if (a == "--time-threshold" && i + 1 < argc) {
-      time_pct = sndp::number_or_usage<double>(argv[++i], usage, argv[0]);
-    } else if (baseline_path == nullptr) {
-      baseline_path = argv[i];
-    } else if (current_path == nullptr) {
-      current_path = argv[i];
-    } else {
-      usage(argv[0]);
-    }
-  }
-  if (baseline_path == nullptr || current_path == nullptr) usage(argv[0]);
+  if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-') usage(argv[0]);
+  const char* baseline_path = argv[1];
+  const char* current_path = argv[2];
 
   std::map<std::string, BenchRow> base, cur;
   std::string base_scale, cur_scale;
@@ -282,36 +253,25 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  int regressions = 0;
+  int flagged = 0;
   for (const auto& [id, b] : base) {
     const auto it = cur.find(id);
     if (it == cur.end()) {
       std::printf("MISSING  %-22s row absent from %s\n", id.c_str(), current_path);
-      ++regressions;
+      ++flagged;
       continue;
     }
     const BenchRow& c = it->second;
-    const double cyc_delta_pct = b.sim_cycles > 0.0
-        ? 100.0 * (c.sim_cycles - b.sim_cycles) / b.sim_cycles : 0.0;
-    const double wall_delta_pct = b.wall_ff_s > 0.0
-        ? 100.0 * (c.wall_ff_s - b.wall_ff_s) / b.wall_ff_s : 0.0;
-    if (cyc_delta_pct > cycles_pct) {
-      std::printf("CYCLES   %-22s %12.0f -> %12.0f  (%+.2f%% > %.2f%%)\n", id.c_str(),
-                  b.sim_cycles, c.sim_cycles, cyc_delta_pct, cycles_pct);
-      ++regressions;
-    }
-    if (wall_delta_pct > time_pct) {
-      std::printf("TIME     %-22s %10.3fs -> %10.3fs  (%+.1f%% > %.1f%%)\n", id.c_str(),
-                  b.wall_ff_s, c.wall_ff_s, wall_delta_pct, time_pct);
-      ++regressions;
+    if (c.sim_cycles != b.sim_cycles) {
+      std::printf("CYCLES   %-22s %12.0f -> %12.0f\n", id.c_str(), b.sim_cycles,
+                  c.sim_cycles);
+      ++flagged;
     }
   }
-  if (regressions == 0) {
-    std::printf("bench_compare: %zu rows, no regressions (cycles >%.2f%%, time >%.1f%%)\n",
-                base.size(), cycles_pct, time_pct);
+  if (flagged == 0) {
+    std::printf("bench_compare: %zu rows, sim_cycles identical\n", base.size());
     return 0;
   }
-  std::printf("bench_compare: %d regression%s flagged\n", regressions,
-              regressions == 1 ? "" : "s");
+  std::printf("bench_compare: %d row%s flagged\n", flagged, flagged == 1 ? "" : "s");
   return 1;
 }

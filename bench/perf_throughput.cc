@@ -90,9 +90,6 @@ int main(int argc, char** argv) {
   for (const std::string& w : workloads) {
     for (OffloadMode mode : modes) {
       SystemConfig cfg = paper_config(mode);
-      // Throughput baseline: latency tracing off, so the recorded
-      // edges-per-second measures the simulator core.
-      cfg.latency_trace = false;
       cfg.fast_forward = true;
       RunResult ff;
       const double wall_ff = timed_run(w, scale, cfg, &ff);

@@ -146,8 +146,7 @@ int main(int argc, char** argv) {
     mix_name += (mix_name.empty() ? "" : "+") + n;
   }
 
-  SystemConfig base = paper_config(OffloadMode::kDynamicCache);
-  base.latency_trace = true;
+  const SystemConfig base = paper_config(OffloadMode::kDynamicCache);
   std::vector<SweepOutcome> outcomes;  // hand-built; exported as sndp-sweep-v1
 
   // Solo baselines: each tenant alone on the whole machine.

@@ -27,12 +27,10 @@
 //       --timeout SECONDS   abort any single run past this wall-clock budget
 //       --no-ff             disable idle fast-forward (naive edge-by-edge
 //                           stepping; results are bit-identical, only slower)
-//       --no-audit          disable the flow-conservation stats audit
 //       --profile-csv FILE  write the per-tenant cycle stacks as CSV
 //                           (component,row,bucket,cycles; "-" = stdout; with
 //                           -w all the workload name is appended like
 //                           --epoch-csv)
-//       --no-latency        disable request-lifecycle latency tracing
 //       --latency-sample N  sample every Nth tracked request per type for a
 //                           full per-hop span (default 64; 0 = histograms
 //                           only, no spans)
@@ -90,9 +88,7 @@ struct Options {
   std::string stats_json;
   double timeout_s = 0.0;
   bool fast_forward = true;
-  bool audit = true;
   std::string profile_csv;
-  bool latency = true;
   unsigned latency_sample = 64;
   std::string epoch_csv;
   std::string trace_path;
@@ -109,8 +105,7 @@ struct Options {
                "          [--sms N] [--hmcs N] [--nsu-mhz N] [--seed N] "
                "[--ro-cache] [--optimal-target] [--stats] [--csv FILE]\n"
                "          [-j JOBS] [--stats-json FILE] [--timeout SECONDS] [--no-ff]\n"
-               "          [--no-audit] [--profile-csv FILE]\n"
-               "          [--no-latency] [--latency-sample N]\n"
+               "          [--profile-csv FILE] [--latency-sample N]\n"
                "          [--epoch-csv FILE] [--trace FILE]\n"
                "          [--tenants NAME[:W[:P]],... [--arbiter rr|weighted|strict]\n"
                "           [--nsu-quota N] [--credit-share F]]\n",
@@ -229,14 +224,10 @@ Options parse(int argc, char** argv) {
       o.timeout_s = num_f(need_value(i));
     } else if (a == "--no-ff") {
       o.fast_forward = false;
-    } else if (a == "--no-audit") {
-      o.audit = false;
     } else if (a == "--profile-csv") {
       o.profile_csv = need_value(i);
     } else if (a.rfind("--profile-csv=", 0) == 0) {
       o.profile_csv = a.substr(14);
-    } else if (a == "--no-latency") {
-      o.latency = false;
     } else if (a == "--latency-sample") {
       o.latency_sample = num_u(need_value(i));
     } else if (a.rfind("--latency-sample=", 0) == 0) {
@@ -280,8 +271,6 @@ SystemConfig config_of(const Options& o) {
   cfg.nsu.read_only_cache = o.ro_cache;
   cfg.optimal_target_selection = o.optimal_target;
   cfg.fast_forward = o.fast_forward;
-  cfg.audit = o.audit;
-  cfg.latency_trace = o.latency;
   cfg.latency_sample = o.latency_sample;
   cfg.trace_path = o.trace_path;
   cfg.tenancy.arbiter = o.arbiter;
@@ -358,8 +347,8 @@ int run_tenants_main(const Options& o, const char* argv0) {
                 static_cast<unsigned long long>(tr.l2_merged),
                 tr.verified ? "yes" : "NO");
   }
-  if (o.dump_stats) std::fputs(r.stats.to_string().c_str(), stdout);
-  if (o.dump_stats && r.latency_enabled) {
+  if (o.dump_stats) {
+    std::fputs(r.stats.to_string().c_str(), stdout);
     std::printf("  request latency by path class:\n");
     print_latency_table(r.latency, "    ");
   }
@@ -391,8 +380,8 @@ int report_one(const Options& o, const std::string& name, const RunResult& r) {
               static_cast<unsigned long long>(r.sm_cycles), r.ipc,
               r.verified ? "yes" : "NO", r.gpu_link_bytes / 1e6, r.cube_link_bytes / 1e6,
               r.energy.total());
-  if (o.dump_stats) std::fputs(r.stats.to_string().c_str(), stdout);
-  if (o.dump_stats && r.latency_enabled) {
+  if (o.dump_stats) {
+    std::fputs(r.stats.to_string().c_str(), stdout);
     std::printf("  request latency by path class:\n");
     print_latency_table(r.latency, "    ");
   }

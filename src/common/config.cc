@@ -38,7 +38,7 @@ void SystemConfig::validate() const {
   auto require = [](bool ok, const char* what) {
     if (!ok) throw std::invalid_argument(std::string("SystemConfig: ") + what);
   };
-  require(num_sms >= 1, "need at least one SM");
+  require(num_sms >= 1 && num_sms <= kMaxSms, "SM count must be in [1, 1024]");
   // Non-power-of-two stack counts ride an incomplete hypercube (every
   // single-bit-flip edge whose endpoints both exist); the upper bound keeps
   // node ids inside the packet's 8-bit target-NSU field.

@@ -258,6 +258,10 @@ struct EnergyConfig {
 // Whole-system configuration.
 // ---------------------------------------------------------------------------
 struct SystemConfig {
+  // Upper bound checked by validate(): each SM costs about 0.43 MB of host
+  // memory, so 1024 (8x paper_2x's 128) stays under 0.5 GB instead of
+  // running a hostile `--sms` value into std::bad_alloc.
+  static constexpr unsigned kMaxSms = 1024;
   unsigned num_sms = 64;
   unsigned num_hmcs = 8;
   ClockConfig clocks{};
@@ -296,21 +300,10 @@ struct SystemConfig {
   // test and for perf comparisons (bench/perf_throughput).
   bool fast_forward = true;
 
-  // Flow-conservation stats audit (`sim.audit`): cross-check every
-  // component's counters against each other at each governor epoch boundary
-  // and at end-of-run (src/obs/stats_audit.*).  On by default — the checks
-  // are a handful of integer compares per epoch; `--no-audit` disables them
-  // for perf measurement runs.
-  bool audit = true;
-
-  // Request-lifecycle latency tracing (`sim.latency_trace`, src/obs/
-  // latency.*): stamp every tracked packet at each hop and aggregate
-  // per-path-class log2 latency histograms.  On by default (a few integer
-  // adds per hop); `--no-latency` disables it entirely — with the knob off
-  // no PacketTiming field is ever touched.  `latency_sample`: every Nth
+  // Request-lifecycle latency tracing (src/obs/latency.*) runs on every
+  // simulation, as does the flow-conservation stats audit.  Every Nth
   // tracked request per packet type also records a full per-hop span
   // (Chrome-trace flow events); 0 disables span capture.
-  bool latency_trace = true;
   unsigned latency_sample = 64;
 
   // When non-empty, write a Chrome-trace JSON of packet flights and

@@ -266,9 +266,7 @@ void Gpu::l2_tick(Cycle cycle, TimePs now) {
           break;
       }
       ctx_.energy->gpu_wire_bytes += p->size_bytes;
-      if (ctx_.latency != nullptr) {
-        ctx_.latency->queue_hop(*p, now, "sm_egress", ctx_.cfg->num_hmcs);
-      }
+      ctx_.latency->queue_hop(*p, now, "sm_egress", ctx_.cfg->num_hmcs);
       if (is_urgent_packet(p->type)) {
         slices_.at(slice).urgent.push(std::move(*p), now);
       } else {
@@ -309,9 +307,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
   // Urgent pass-throughs (offload commands) go straight to the link; they
   // never touch the L2 arrays and must not queue behind request floods.
   while (auto p = slice.urgent.pop_ready(now)) {
-    if (ctx_.latency != nullptr) {
-      ctx_.latency->queue_hop(*p, now, "l2_slice", ctx_.cfg->num_hmcs);
-    }
+    ctx_.latency->queue_hop(*p, now, "l2_slice", ctx_.cfg->num_hmcs);
     send_to_network(std::move(*p), now);
   }
 
@@ -325,9 +321,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
       if (result == CacheAccessResult::kMshrFull) return;  // retry next cycle
       ++l2_read_reqs_;
       Packet p = slice.in.pop();
-      if (ctx_.latency != nullptr) {
-        ctx_.latency->queue_hop(p, now, "l2_slice", ctx_.cfg->num_hmcs);
-      }
+      ctx_.latency->queue_hop(p, now, "l2_slice", ctx_.cfg->num_hmcs);
       const bool in_block = p.oid.block != kNoBlock;
       const unsigned touched = popcount_mask(p.mask) * p.mem_width;
       // Per-tenant L2 outcomes are counted here, at the same site as
@@ -339,11 +333,9 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
         ++t_l2_hits_.at(p.tenant);
         if (in_block) gov->cache_table().record_load_line(p.oid.block, true, touched);
         ctx_.energy->gpu_wire_bytes += kLineBytes;
-        if (ctx_.latency != nullptr) {
-          ctx_.latency->add_cache(p, l2_latency_ps);
-          ctx_.latency->finish(p, PathClass::kGpuReadL2, now + l2_latency_ps,
-                               ctx_.cfg->num_hmcs);
-        }
+        ctx_.latency->add_cache(p, l2_latency_ps);
+        ctx_.latency->finish(p, PathClass::kGpuReadL2, now + l2_latency_ps,
+                             ctx_.cfg->num_hmcs);
         sms_.at(static_cast<std::size_t>(p.token))
             ->deliver_line(p.line_addr, now + l2_latency_ps, LineServe::kL2);
       } else if (result == CacheAccessResult::kMissNew) {
@@ -359,15 +351,13 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
         // here; the merged-into request's response will serve it.
         ++t_l2_merged_.at(p.tenant);
         if (in_block) gov->cache_table().record_load_line(p.oid.block, false, 0);
-        if (ctx_.latency != nullptr) ctx_.latency->cancel(p);
+        ctx_.latency->cancel(p);
       }
       continue;
     }
 
     Packet p = slice.in.pop();
-    if (ctx_.latency != nullptr) {
-      ctx_.latency->queue_hop(p, now, "l2_slice", ctx_.cfg->num_hmcs);
-    }
+    ctx_.latency->queue_hop(p, now, "l2_slice", ctx_.cfg->num_hmcs);
     switch (p.type) {
       case PacketType::kMemWrite: {
         ++ctx_.energy->l2_accesses;
@@ -390,7 +380,7 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
         if (hit) {
           ++rdf_l2_hits_;
           p.type = PacketType::kRdfResp;
-          if (ctx_.latency != nullptr) ctx_.latency->set_path(p, PathClass::kRdfCacheHit);
+          ctx_.latency->set_path(p, PathClass::kRdfCacheHit);
           p.dst_node = p.target_nsu;
           p.lane_data.assign(kWarpWidth, 0);
           for (unsigned lane = 0; lane < kWarpWidth; ++lane) {
@@ -422,17 +412,13 @@ void Gpu::process_slice(unsigned slice_idx, Cycle /*cycle*/, TimePs now) {
 
 void Gpu::handle_rx(Packet&& p, TimePs now) {
   ++rx_packets_;
-  if (ctx_.latency != nullptr) {
-    ctx_.latency->queue_hop(p, now, "gpu_rx", ctx_.cfg->num_hmcs);
-  }
+  ctx_.latency->queue_hop(p, now, "gpu_rx", ctx_.cfg->num_hmcs);
   switch (p.type) {
     case PacketType::kMemReadResp: {
       ++mem_read_resps_;
-      if (ctx_.latency != nullptr) {
-        ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
-        ctx_.latency->finish(p, PathClass::kGpuReadDram, now + ctx_.cfg->xbar_latency_ps,
-                             ctx_.cfg->num_hmcs);
-      }
+      ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
+      ctx_.latency->finish(p, PathClass::kGpuReadDram, now + ctx_.cfg->xbar_latency_ps,
+                           ctx_.cfg->num_hmcs);
       // The serving stack IS the slice that holds the MSHR (kMissNew pins
       // dst to its slice) — a fresh hmc_of here could land on a different
       // slice after a migration and strand the MSHR tokens.
@@ -471,11 +457,9 @@ void Gpu::handle_rx(Packet&& p, TimePs now) {
       // Data-buffer credits ride on the ACK (§4.3).
       ctx_.bufmgr->release(p.target_nsu, 0, p.credit_read_data, p.credit_write_addr,
                            p.tenant);
-      if (ctx_.latency != nullptr) {
-        ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
-        ctx_.latency->finish(p, PathClass::kOfldCmd, now + ctx_.cfg->xbar_latency_ps,
-                             ctx_.cfg->num_hmcs);
-      }
+      ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
+      ctx_.latency->finish(p, PathClass::kOfldCmd, now + ctx_.cfg->xbar_latency_ps,
+                           ctx_.cfg->num_hmcs);
       const SmId sm = p.oid.sm;
       sms_.at(sm)->deliver_ofld_ack(std::move(p), now + ctx_.cfg->xbar_latency_ps);
       break;
@@ -483,9 +467,7 @@ void Gpu::handle_rx(Packet&& p, TimePs now) {
     case PacketType::kCredit: {
       ctx_.bufmgr->release(p.target_nsu, p.credit_cmd, p.credit_read_data,
                            p.credit_write_addr, p.tenant);
-      if (ctx_.latency != nullptr) {
-        ctx_.latency->finish(p, PathClass::kCredit, now, ctx_.cfg->num_hmcs);
-      }
+      ctx_.latency->finish(p, PathClass::kCredit, now, ctx_.cfg->num_hmcs);
       break;
     }
     default:

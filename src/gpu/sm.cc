@@ -215,9 +215,7 @@ bool Sm::retry_credit_grants(TimePs now) {
         p.dst_node = static_cast<std::uint16_t>(ctx.target);
       }
       // Pending-buffer residency (waiting for the credit grant) is queueing.
-      if (ctx_.latency != nullptr) {
-        ctx_.latency->queue_hop(p, now, "credit_grant", ctx_.cfg->num_hmcs);
-      }
+      ctx_.latency->queue_hop(p, now, "credit_grant", ctx_.cfg->num_hmcs);
       push_out(std::move(p), now);
     }
     pending_count_ -= static_cast<unsigned>(ctx.held.size());
@@ -672,7 +670,7 @@ void Sm::begin_offload(Warp& w, const Instr& in, Cycle /*cycle*/, TimePs now) {
                                     w.active_count(), info.needs_preds);
   // The cmd->ACK span opens here: time spent held waiting for the target
   // decision and the credit grant is part of the round trip (as queueing).
-  if (ctx_.latency != nullptr) ctx_.latency->start(cmd, now, ctx_.cfg->num_hmcs);
+  ctx_.latency->start(cmd, now, ctx_.cfg->num_hmcs);
   // Target NSU is unknown until the first memory instruction: hold the
   // command in the pending packet buffer.
   w.ofld->held.push_back(std::move(cmd));
@@ -822,10 +820,8 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
           p.mask = la.lanes;
           p.mem_width = in.mem_width;
           p.size_bytes = mem_read_req_bytes();
-          if (ctx_.latency != nullptr) {
-            ctx_.latency->start(p, now, ctx_.cfg->num_hmcs);
-            ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
-          }
+          ctx_.latency->start(p, now, ctx_.cfg->num_hmcs);
+          ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
           push_out(std::move(p), now + ctx_.cfg->xbar_latency_ps);
           break;
         }
@@ -871,10 +867,8 @@ Sm::IssueOutcome Sm::issue_mem_inline(Warp& w, const Instr& in, Cycle cycle, Tim
       p.oid.block = w.cur_block;
       const unsigned touched = popcount_mask(la.lanes) * in.mem_width;
       p.size_bytes = mem_write_req_bytes(touched);
-      if (ctx_.latency != nullptr) {
-        ctx_.latency->start(p, now, ctx_.cfg->num_hmcs);
-        ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
-      }
+      ctx_.latency->start(p, now, ctx_.cfg->num_hmcs);
+      ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
       push_out(std::move(p), now + ctx_.cfg->xbar_latency_ps);
     }
     if (w.cur_block != kNoBlock) {
@@ -994,14 +988,12 @@ Sm::IssueOutcome Sm::issue_mem_offload(Warp& w, const Instr& in, Cycle cycle, Ti
         }
         p.size_bytes = rdf_wta_packet_bytes(popcount_mask(la.lanes), la.misaligned);
       }
-      if (ctx_.latency != nullptr) {
-        ctx_.latency->start(p, now, ctx_.cfg->num_hmcs);
-        // RDFs served from the L1 short-circuit DRAM entirely — their own
-        // path class.  Vault-served RDFs get local/remote at the HMC, where
-        // the final target NSU is known even under the ablation.
-        if (hit) ctx_.latency->set_path(p, PathClass::kRdfCacheHit);
-        ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
-      }
+      ctx_.latency->start(p, now, ctx_.cfg->num_hmcs);
+      // RDFs served from the L1 short-circuit DRAM entirely — their own
+      // path class.  Vault-served RDFs get local/remote at the HMC, where
+      // the final target NSU is known even under the ablation.
+      if (hit) ctx_.latency->set_path(p, PathClass::kRdfCacheHit);
+      ctx_.latency->add_link(p, 0, ctx_.cfg->xbar_latency_ps);
       emit_or_hold(w, std::move(p), now + ctx_.cfg->xbar_latency_ps);
     }
   } else {

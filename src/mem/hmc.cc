@@ -73,12 +73,6 @@ VaultCycleStack Hmc::vault_cycle_stack() const {
   return agg;
 }
 
-std::uint64_t Hmc::vault_counted_cycles() const {
-  std::uint64_t n = 0;
-  for (const auto& v : vaults_) n += v->counted_cycles();
-  return n;
-}
-
 void Hmc::send_from_stack(Packet&& p, TimePs now) {
   p.src_node = static_cast<std::uint16_t>(id_);
   ctx_.energy->hmc_noc_bytes += p.size_bytes;  // logic layer -> I/O port
@@ -117,7 +111,7 @@ void Hmc::tick(Cycle cycle, TimePs now) {
   auto& rx = ctx_.net->rx(id_);
   while (rx.ready(now)) {
     Packet p = rx.pop();
-    if (ctx_.latency != nullptr) ctx_.latency->queue_hop(p, now, "hmc_rx", id_);
+    ctx_.latency->queue_hop(p, now, "hmc_rx", id_);
     route_packet(std::move(p), now);
   }
 
@@ -126,7 +120,7 @@ void Hmc::tick(Cycle cycle, TimePs now) {
     auto& backlog = vault_backlog_[v];
     while (backlog.ready(now) && vaults_[v]->can_accept()) {
       Packet p = backlog.pop();
-      if (ctx_.latency != nullptr) ctx_.latency->queue_hop(p, now, "vault_queue", id_);
+      ctx_.latency->queue_hop(p, now, "vault_queue", id_);
       const DramCoord coord = ctx_.amap->decode_at(p.line_addr, id_);
       const bool is_write = p.type == PacketType::kMemWrite ||
                             p.type == PacketType::kNsuWrite ||
@@ -162,7 +156,7 @@ void Hmc::route_packet(Packet&& p, TimePs now) {
     case PacketType::kWta:
     case PacketType::kNsuWriteAck:
       ctx_.energy->hmc_noc_bytes += p.size_bytes;
-      if (ctx_.latency != nullptr) ctx_.latency->add_link(p, 0, noc_latency_ps_);
+      ctx_.latency->add_link(p, 0, noc_latency_ps_);
       nsu_->receive(std::move(p), now + noc_latency_ps_);
       break;
     case PacketType::kPageCopyRead:
@@ -205,7 +199,7 @@ void Hmc::enqueue_vault(Packet&& p, TimePs now) {
     throw std::logic_error("Hmc: packet for another stack");
   }
   // Both callers add exactly one intra-stack NoC traversal before `now`.
-  if (ctx_.latency != nullptr) ctx_.latency->add_link(p, 0, noc_latency_ps_);
+  ctx_.latency->add_link(p, 0, noc_latency_ps_);
   auto& backlog = vault_backlog_.at(coord.vault);
   backlog.push(std::move(p), now);
   // The NSU's local-vault fast path lands here from another clock domain;
@@ -221,14 +215,12 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
   inflight_.erase(it);
   const unsigned line_bytes = ctx_.amap->line_bytes();
 
-  if (ctx_.latency != nullptr) {
-    // Split vault residency into DRAM service (deterministic tCL/tBURST
-    // approximation of the FR-FCFS service slot) and FR-FCFS queueing.
-    const DramTiming& t = ctx_.cfg->hmc.timing;
-    const TimePs service_ps = tick_time_ps(
-        req.is_write ? t.tBURST : t.tCL + t.tBURST, ctx_.cfg->clocks.dram_khz);
-    ctx_.latency->add_vault(p, req.enqueue_ps, done_ps, service_ps, id_);
-  }
+  // Split vault residency into DRAM service (deterministic tCL/tBURST
+  // approximation of the FR-FCFS service slot) and FR-FCFS queueing.
+  const DramTiming& t = ctx_.cfg->hmc.timing;
+  const TimePs service_ps = tick_time_ps(
+      req.is_write ? t.tBURST : t.tCL + t.tBURST, ctx_.cfg->clocks.dram_khz);
+  ctx_.latency->add_vault(p, req.enqueue_ps, done_ps, service_ps, id_);
 
   switch (p.type) {
     case PacketType::kMemRead: {
@@ -244,7 +236,7 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
       resp.tenant = p.tenant;
       resp.dst_node = static_cast<std::uint16_t>(ctx_.net->gpu_node());
       resp.size_bytes = mem_read_resp_bytes();
-      if (ctx_.latency != nullptr) ctx_.latency->transfer(p, resp);
+      ctx_.latency->transfer(p, resp);
       send_from_stack(std::move(resp), done_ps);
       break;
     }
@@ -252,9 +244,7 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
       // Write-through store: data already applied functionally at the SM.
       ++mem_writes_completed_;
       ctx_.energy->dram_write_bytes += p.size_bytes - mem_write_req_bytes(0);
-      if (ctx_.latency != nullptr) {
-        ctx_.latency->finish(p, PathClass::kGpuWrite, done_ps, id_);
-      }
+      ctx_.latency->finish(p, PathClass::kGpuWrite, done_ps, id_);
       break;
     }
     case PacketType::kRdf: {
@@ -279,16 +269,14 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
         }
       }
       resp.size_bytes = rdf_resp_packet_bytes(popcount_mask(p.mask), p.mem_width);
-      if (ctx_.latency != nullptr) {
-        // Local/remote is decided here, where the final target is known
-        // even under the optimal-target-selection ablation.
-        ctx_.latency->transfer(p, resp);
-        ctx_.latency->set_path(resp, p.target_nsu == id_ ? PathClass::kRdfLocal
-                                                         : PathClass::kRdfRemote);
-      }
+      // Local/remote is decided here, where the final target is known
+      // even under the optimal-target-selection ablation.
+      ctx_.latency->transfer(p, resp);
+      ctx_.latency->set_path(resp, p.target_nsu == id_ ? PathClass::kRdfLocal
+                                                       : PathClass::kRdfRemote);
       if (p.target_nsu == id_) {
         ctx_.energy->hmc_noc_bytes += resp.size_bytes;
-        if (ctx_.latency != nullptr) ctx_.latency->add_link(resp, 0, noc_latency_ps_);
+        ctx_.latency->add_link(resp, 0, noc_latency_ps_);
         nsu_->receive(std::move(resp), done_ps + noc_latency_ps_);
       } else {
         // Remote forward: the consuming NSU pulls from a page homed here —
@@ -317,11 +305,11 @@ void Hmc::on_vault_complete(const DramRequest& req, TimePs done_ps) {
       ack.oid = p.oid;
       ack.tenant = p.tenant;
       ack.size_bytes = small_packet_bytes();
-      if (ctx_.latency != nullptr) ctx_.latency->transfer(p, ack);
+      ctx_.latency->transfer(p, ack);
       const unsigned origin = p.src_node;  // the NSU that issued the write
       if (origin == id_) {
         ctx_.energy->hmc_noc_bytes += ack.size_bytes;
-        if (ctx_.latency != nullptr) ctx_.latency->add_link(ack, 0, noc_latency_ps_);
+        ctx_.latency->add_link(ack, 0, noc_latency_ps_);
         nsu_->receive(std::move(ack), done_ps + noc_latency_ps_);
       } else {
         // Remote NSU write into a page homed here: same migration signal as

@@ -56,12 +56,11 @@ class Hmc final : public Tickable {
   std::uint64_t packets_routed() const { return packets_routed_; }
 
   // Cycle-stack profiler: derive each vault's idle tail (end_cycle minus its
-  // counted busy edges), then read the per-stack aggregate.  finalize() is
-  // called once by the Simulator with the DRAM domain's naive-equivalent
-  // edge count before stats are read.
+  // busy edges), then read the per-stack aggregate.  finalize() is called
+  // once by the Simulator with the DRAM domain's naive-equivalent edge count
+  // before stats are read.
   void finalize(Cycle end_cycle);
   VaultCycleStack vault_cycle_stack() const;
-  std::uint64_t vault_counted_cycles() const;
   unsigned num_vaults() const { return static_cast<unsigned>(vaults_.size()); }
   const VaultController& vault(unsigned v) const { return *vaults_[v]; }
 

@@ -17,16 +17,15 @@ void VaultController::enqueue(const DramRequest& req) {
 }
 
 void VaultController::bill_cycle(const DramRequest& req, VaultBucket bucket) {
-  ++counted_cycles_;
   const unsigned row = req.page_copy ? cyc_.shared_row() : req.tenant;
   cyc_.add(row, static_cast<std::size_t>(bucket), 1);
 }
 
 void VaultController::finalize(Cycle end_cycle) {
-  if (end_cycle > counted_cycles_) {
+  const std::uint64_t busy = cyc_.total();
+  if (end_cycle > busy) {
     cyc_.add(cyc_.shared_row(), static_cast<std::size_t>(VaultBucket::kIdle),
-             end_cycle - counted_cycles_);
-    counted_cycles_ = end_cycle;
+             end_cycle - busy);
   }
 }
 

@@ -67,13 +67,13 @@ class VaultController final : public Tickable {
   Distribution queue_latency_ps;
 
   // Cycle stack (src/obs/cycle_stack.*).  Busy edges (queue non-empty) are
-  // classified live — the vault never sleeps while its queue is non-empty,
-  // so the busy classification is fast-forward-invariant.
-  // Idle is derived once at finalize() as end_cycle minus counted busy
-  // edges.  Bucket sum == counted_cycles() at any instant.
+  // classified live, one bucket per edge — the vault never sleeps while its
+  // queue is non-empty, so the busy classification is fast-forward-
+  // invariant.  Idle is derived once at finalize() as `end_cycle` (the DRAM
+  // domain's consumed-edge count) minus the busy edges, so the stack then
+  // sums to the domain's edges; StatsAudit checks that against the clock.
   void finalize(Cycle end_cycle);
   const VaultCycleStack& cycle_stack() const { return cyc_; }
-  std::uint64_t counted_cycles() const { return counted_cycles_; }
 
  private:
   // Bill one busy edge to the request that defines it.  Page-copy traffic
@@ -89,7 +89,6 @@ class VaultController final : public Tickable {
   TimedChannel<DramRequest> completed_;
 
   VaultCycleStack cyc_;
-  std::uint64_t counted_cycles_ = 0;
 };
 
 }  // namespace sndp

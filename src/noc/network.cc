@@ -16,11 +16,12 @@ std::uint64_t pair_key(unsigned a, unsigned b) {
 }
 }  // namespace
 
-Network::Network(const SystemConfig& cfg)
+Network::Network(const SystemConfig& cfg, LatencyTracer& latency)
     : num_hmcs_(cfg.num_hmcs),
       link_cfg_(cfg.link),
       router_latency_ps_(cfg.link.router_latency_cycles *
-                         tick_time_ps(1, cfg.clocks.dram_khz)) {
+                         tick_time_ps(1, cfg.clocks.dram_khz)),
+      latency_(latency) {
   rx_.resize(num_hmcs_ + 1);  // +1: the GPU node
   auto make_pair = [&] {
     LinkPair p;
@@ -76,8 +77,8 @@ TimePs Network::send(Packet pkt, TimePs now) {
   // at the injection port; each link leg splits into tier wait (queue) and
   // serialization + propagation (link); router pipeline stages count as
   // link time.  The stamp ends up at the final arrival time.
-  const bool lat = latency_ != nullptr && pkt.lt.active;
-  if (lat) latency_->queue_hop(pkt, now, "inject", pkt.src_node);
+  const bool lat = pkt.lt.active;
+  if (lat) latency_.queue_hop(pkt, now, "inject", pkt.src_node);
   TimePs wait = 0;
   TimePs* wp = lat ? &wait : nullptr;
 
@@ -88,12 +89,12 @@ TimePs Network::send(Packet pkt, TimePs now) {
     const TimePs t0 = t;
     t = gpu_link(pkt.dst_node, /*toward_hmc=*/true).transmit(t, pkt.size_bytes, ctrl, wp);
     gpu_up_bytes_ += pkt.size_bytes;
-    if (lat) latency_->add_link(pkt, wait, t - t0 - wait);
+    if (lat) latency_.add_link(pkt, wait, t - t0 - wait);
   } else if (pkt.dst_node == gpu) {
     const TimePs t0 = t;
     t = gpu_link(pkt.src_node, /*toward_hmc=*/false).transmit(t, pkt.size_bytes, ctrl, wp);
     gpu_down_bytes_ += pkt.size_bytes;
-    if (lat) latency_->add_link(pkt, wait, t - t0 - wait);
+    if (lat) latency_.add_link(pkt, wait, t - t0 - wait);
   } else {
     // HMC -> HMC over the hypercube, dimension-order.  Fixed-size route
     // buffer: this runs once per packet, so no heap traffic here.
@@ -113,10 +114,10 @@ TimePs Network::send(Packet pkt, TimePs now) {
       const TimePs t0 = t;
       t = cube_link(path[i], path[i + 1]).transmit(t, pkt.size_bytes, ctrl, wp);
       cube_bytes_ += pkt.size_bytes;
-      if (lat) latency_->add_link(pkt, wait, router + t - t0 - wait);
+      if (lat) latency_.add_link(pkt, wait, router + t - t0 - wait);
     }
   }
-  if (lat) latency_->queue_hop(pkt, t, "eject", pkt.dst_node);
+  if (lat) latency_.queue_hop(pkt, t, "eject", pkt.dst_node);
   const unsigned dst = pkt.dst_node;
   if (trace_ != nullptr) {
     // Row id: source node (GPU = num_hmcs).

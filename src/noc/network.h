@@ -30,14 +30,12 @@ class TraceWriter;
 
 class Network {
  public:
-  explicit Network(const SystemConfig& cfg);
+  // `latency`: per-hop latency accounting (queue wait vs wire time on
+  // every link of the route) for tracked packets.  Must outlive the network.
+  Network(const SystemConfig& cfg, LatencyTracer& latency);
 
   // Optional: record every packet flight as a trace event.
   void set_trace(TraceWriter* trace) { trace_ = trace; }
-
-  // Optional: per-hop latency accounting (queue wait vs wire time on every
-  // link of the route) for tracked packets.
-  void set_latency(LatencyTracer* latency) { latency_ = latency; }
 
   // Per-epoch timeline hook: the byte counters are polled at the first
   // injection at/after each epoch boundary (they only change on send, so
@@ -98,7 +96,7 @@ class Network {
   std::map<PacketType, std::uint64_t> bytes_by_type_;
   std::uint64_t packets_injected_ = 0;
   TraceWriter* trace_ = nullptr;
-  LatencyTracer* latency_ = nullptr;
+  LatencyTracer& latency_;
   EpochTimeline* timeline_ = nullptr;
 };
 

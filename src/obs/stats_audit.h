@@ -97,11 +97,9 @@ struct AuditSnapshot {
   std::uint64_t energy_offchip_bytes = 0;
   std::uint64_t energy_nsu_lane_ops = 0;
   // Latency tracer (src/obs/latency.*): per-path-class finished-span counts
-  // plus the span lifecycle counters.  Only audited when the tracer was
-  // enabled for the run (latency_on) — the histograms must reconcile with
+  // plus the span lifecycle counters.  The histograms must reconcile with
   // the delivered-packet counters above, so a lost or double-counted span
   // fails the run like any other conservation bug.
-  bool latency_on = false;
   std::array<std::uint64_t, kNumPathClasses> lat_counts{};
   std::uint64_t lat_started = 0;
   std::uint64_t lat_finished = 0;
@@ -120,17 +118,21 @@ struct AuditSnapshot {
   std::vector<std::uint64_t> tenant_issued;     // per-tenant SM instructions
   std::vector<std::uint64_t> tenant_l2_reads;   // per-tenant L2 read outcomes
   std::vector<std::uint64_t> tenant_gov_instrs; // per-governor block instrs
-  // Cycle stacks (src/obs/cycle_stack.*).  Exhaustiveness: each
-  // component's bucket sum must equal its counted cycles — an independent
-  // counter — at every instant (every counted cycle lands in exactly one
-  // bucket; reclassifications are sum-preserving).  The machine-wide issue
-  // bucket must equal the issued-instruction counter, and the per-tenant
-  // issue rows must partition the per-tenant issued-instruction counters.
-  // The Fig. 8 stall counters are read from the stacks, so there is no
-  // second copy of them to compare.
-  std::vector<std::uint64_t> cyc_sm_sum, cyc_sm_counted;        // per SM
-  std::vector<std::uint64_t> cyc_nsu_sum, cyc_nsu_counted;      // per NSU
-  std::vector<std::uint64_t> cyc_vault_sum, cyc_vault_counted;  // per vault
+  // Cycle stacks (src/obs/cycle_stack.*).  Exhaustiveness: each SM and
+  // NSU bucket sum must equal its counted cycles — an independent counter —
+  // at every instant (every counted cycle lands in exactly one bucket;
+  // reclassifications are sum-preserving).  A vault stack holds only its
+  // busy edges until the end-of-run finalize derives the idle bucket, so it
+  // is checked against the DRAM clock domain's consumed-edge count: busy
+  // <= edges at each epoch boundary, bucket sum == edges at end of run.
+  // The machine-wide issue bucket must equal the issued-instruction
+  // counter, and the per-tenant issue rows must partition the per-tenant
+  // issued-instruction counters.  The Fig. 8 stall counters are read from
+  // the stacks, so there is no second copy of them to compare.
+  std::vector<std::uint64_t> cyc_sm_sum, cyc_sm_counted;    // per SM
+  std::vector<std::uint64_t> cyc_nsu_sum, cyc_nsu_counted;  // per NSU
+  std::vector<std::uint64_t> cyc_vault_sum;                 // per vault
+  std::uint64_t cyc_dram_edges = 0;  // DRAM-domain edges consumed so far
   std::uint64_t cyc_sm_issue = 0;
   std::uint64_t cyc_sm_dep_pending = 0;  // unresolved retroactive dep cycles
   std::vector<std::uint64_t> cyc_tenant_issue;  // per-tenant issue-bucket rows

@@ -54,8 +54,9 @@ struct SystemContext {
   EnergyCounters* energy = nullptr;
   RoCacheMirror* ro_cache = nullptr;
   WtaInflightTracker* wta_tracker = nullptr;
-  // Non-null iff SystemConfig::latency_trace — the single guard every
-  // instrumentation site uses (src/obs/latency.*).
+  // Request-lifecycle latency tracer (src/obs/latency.*).  Never null once
+  // the context is wired, like every pointer above: instrumentation sites
+  // call it unconditionally.
   LatencyTracer* latency = nullptr;
   const KernelImage* image = nullptr;
   LaunchParams launch{};

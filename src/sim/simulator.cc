@@ -113,7 +113,11 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   result.workload = name;
 
   AddressMap amap(cfg_);
-  Network net(cfg_);
+  // Request-lifecycle latency tracer: every run carries the per-path-class
+  // histograms that the audit reconciles with the component counters.
+  LatencyTracer latency(cfg_.latency_sample);
+  latency.set_num_tenants(num_tenants);
+  Network net(cfg_, latency);
   TraceWriter trace;
   if (!cfg_.trace_path.empty()) {
     for (unsigned h = 0; h < cfg_.num_hmcs; ++h) {
@@ -122,14 +126,6 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     trace.name_row(static_cast<int>(cfg_.num_hmcs), "GPU");
     trace.name_row(static_cast<int>(cfg_.num_hmcs) + 1, "Governor");
     net.set_trace(&trace);
-  }
-  // Request-lifecycle latency tracer (cfg_.latency_trace): a null ctx
-  // pointer is the zero-cost-disabled path — no stamp is ever touched.
-  std::unique_ptr<LatencyTracer> latency;
-  if (cfg_.latency_trace) {
-    latency = std::make_unique<LatencyTracer>(cfg_.latency_sample);
-    latency->set_num_tenants(num_tenants);
-    net.set_latency(latency.get());
   }
   EnergyCounters counters;
   OffloadGovernor governor(cfg_.governor, static_cast<unsigned>(image.blocks.size()),
@@ -176,7 +172,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   ctx.energy = &counters;
   ctx.ro_cache = &ro_cache;
   ctx.wta_tracker = &wta_tracker;
-  ctx.latency = latency.get();
+  ctx.latency = &latency;
   ctx.image = &image;
   ctx.launch = launch;
   if (num_tenants > 1) ctx.tenants = &tenant_table;
@@ -187,8 +183,8 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     hmcs.push_back(std::make_unique<Hmc>(h, ctx));
   }
 
-  // Observability: per-epoch timeline (always on — the polls are one
-  // compare in the hot paths) and the flow-conservation audit (cfg_.audit).
+  // Observability: per-epoch timeline (the polls are one compare in the
+  // hot paths) and the flow-conservation audit.
   EpochTimeline timeline(cfg_, cfg_.num_hmcs);
   gpu.set_timeline(&timeline);
   net.set_timeline(&timeline);
@@ -196,6 +192,21 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   // Migration counter: one dram-domain poller suffices (stack 0 ticks first
   // at every dram edge, and the poll sits before its fast-forward return).
   hmcs[0]->set_timeline(&timeline);
+
+  // Clock domains (Table 2).
+  ClockDomain sm_domain("sm", cfg_.clocks.sm_khz);
+  ClockDomain l2_domain("l2", cfg_.clocks.l2_khz);
+  // EpochTick must precede the SMs (it replays the governor epoch clock for
+  // fast-forwarded cycles, which in naive order ran before the wake edge);
+  // CoreTick stays after them, matching the naive per-cycle sequence.
+  sm_domain.add(&gpu.epoch_tickable());
+  for (auto& sm : gpu.sms()) sm_domain.add(sm.get());
+  sm_domain.add(&gpu.core_tickable());
+  l2_domain.add(&gpu.l2_tickable());
+  ClockDomain dram_domain("dram", cfg_.clocks.dram_khz);
+  ClockDomain nsu_domain("nsu", cfg_.clocks.nsu_khz);
+  for (auto& hmc : hmcs) dram_domain.add(hmc.get());
+  for (auto& hmc : hmcs) nsu_domain.add(&hmc->nsu());
 
   StatsAudit audit;
   auto collect_audit = [&] {
@@ -273,16 +284,13 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     s.pages_migrated = amap.policy().pages_migrated();
     s.migration_bytes = amap.policy().migration_bytes();
     s.page_bytes = cfg_.page_bytes;
-    if (latency != nullptr) {
-      const LatencySummary& ls = latency->summary();
-      s.latency_on = true;
-      for (std::size_t c = 0; c < kNumPathClasses; ++c) {
-        s.lat_counts[c] = ls.per_class[c].count();
-      }
-      s.lat_started = ls.started;
-      s.lat_finished = ls.finished;
-      s.lat_cancelled = ls.cancelled;
+    const LatencySummary& ls = latency.summary();
+    for (std::size_t c = 0; c < kNumPathClasses; ++c) {
+      s.lat_counts[c] = ls.per_class[c].count();
     }
+    s.lat_started = ls.started;
+    s.lat_finished = ls.finished;
+    s.lat_cancelled = ls.cancelled;
     for (const auto& sm : gpu.sms()) {
       s.cyc_sm_sum.push_back(sm->cycle_stack().total());
       s.cyc_sm_counted.push_back(sm->counted_cycles());
@@ -296,9 +304,9 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
       s.cyc_nsu_counted.push_back(hmc->nsu().counted_cycles());
       for (unsigned v = 0; v < hmc->num_vaults(); ++v) {
         s.cyc_vault_sum.push_back(hmc->vault(v).cycle_stack().total());
-        s.cyc_vault_counted.push_back(hmc->vault(v).counted_cycles());
       }
     }
+    s.cyc_dram_edges = dram_domain.next_cycle();
     if (num_tenants > 1) {
       s.cyc_tenant_issue.resize(num_tenants);
       for (unsigned t = 0; t < num_tenants; ++t) {
@@ -327,23 +335,8 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
     timeline.on_epoch(info.epoch, info.ipc, info.block_instrs, info.ratio,
                       info.step, info.direction, issued, l1_hits, l1_misses,
                       stack_totals.data());
-    if (cfg_.audit) audit.check_epoch(info.epoch, collect_audit());
+    audit.check_epoch(info.epoch, collect_audit());
   });
-
-  // Clock domains (Table 2).
-  ClockDomain sm_domain("sm", cfg_.clocks.sm_khz);
-  ClockDomain l2_domain("l2", cfg_.clocks.l2_khz);
-  // EpochTick must precede the SMs (it replays the governor epoch clock for
-  // fast-forwarded cycles, which in naive order ran before the wake edge);
-  // CoreTick stays after them, matching the naive per-cycle sequence.
-  sm_domain.add(&gpu.epoch_tickable());
-  for (auto& sm : gpu.sms()) sm_domain.add(sm.get());
-  sm_domain.add(&gpu.core_tickable());
-  l2_domain.add(&gpu.l2_tickable());
-  ClockDomain dram_domain("dram", cfg_.clocks.dram_khz);
-  ClockDomain nsu_domain("nsu", cfg_.clocks.nsu_khz);
-  for (auto& hmc : hmcs) dram_domain.add(hmc.get());
-  for (auto& hmc : hmcs) nsu_domain.add(&hmc->nsu());
 
   Scheduler sched(cfg_.fast_forward);
   sched.set_time_limit(cfg_.max_time_ps);
@@ -466,7 +459,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   // Final flow-conservation audit.  Strict equalities (everything issued was
   // retired, credits home, energy mirrors consistent) only hold on a drained
   // run; valve-stopped or aborted runs get the monotonic/inequality subset.
-  if (cfg_.audit) audit.check_final(collect_audit(), completed && !aborted);
+  audit.check_final(collect_audit(), completed && !aborted);
 
   // End-of-run invariants: with everything drained, all NSU buffer credits
   // must be home and no WTA can still be in flight (§4.1.1 page-migration
@@ -526,19 +519,16 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   result.stats.set("sim.valve_overshoot_ps", static_cast<double>(overshoot));
   timeline.export_stats(result.stats);
   export_cycle_stats(result.cycle_stack, result.stats);
-  if (latency != nullptr) {
-    result.latency_enabled = true;
-    result.latency = latency->summary();
-    latency->export_stats(result.stats);
-  }
-  if (cfg_.audit) audit.export_stats(result.stats);
+  result.latency = latency.summary();
+  latency.export_stats(result.stats);
+  audit.export_stats(result.stats);
 
   if (!completed && !aborted) {
     SNDP_WARN("sim", "run '%s' hit the simulated-time safety valve", name.c_str());
   }
   if (!cfg_.trace_path.empty()) {
     timeline.emit_trace(trace, static_cast<int>(cfg_.num_hmcs) + 1);
-    if (latency != nullptr) latency->emit_trace(trace);
+    latency.emit_trace(trace);
     const bool wrote = trace.write(cfg_.trace_path);
     if (!wrote) {
       SNDP_WARN("sim", "failed to write trace to '%s'", cfg_.trace_path.c_str());
@@ -551,7 +541,7 @@ RunResult Simulator::run_images(const std::vector<TenantJob>& jobs, GlobalMemory
   // Audit failures are modeling bugs, not workload outcomes — fail loudly,
   // after the stats/trace artifacts above are flushed so the violation is
   // diagnosable from them.  Mirrors the buffer-credit-leak throw.
-  if (cfg_.audit && !audit.ok()) {
+  if (!audit.ok()) {
     throw std::logic_error("Simulator: stats audit failed: " + audit.first_violation_message());
   }
   return result;

@@ -100,10 +100,7 @@ struct RunResult {
   // `timeline` array in the sndp-sweep-v1 JSON.
   std::vector<EpochSample> timeline;
 
-  // Request-lifecycle latency histograms (src/obs/latency.*); empty when
-  // `SystemConfig::latency_trace` is off (latency_enabled distinguishes a
-  // disabled run from a run with no tracked requests).
-  bool latency_enabled = false;
+  // Request-lifecycle latency histograms (src/obs/latency.*).
   LatencySummary latency;
 
   // Machine-wide cycle stacks (src/obs/cycle_stack.*): per-tenant SM / NSU /

@@ -111,7 +111,7 @@ void outcome_to_json(JsonWriter& w, const SweepOutcome& o) {
   w.end_array();
   // Request-lifecycle latency histograms (src/obs/latency.*).  Like the
   // timeline, this is deterministic sim content and must precede "timing".
-  if (r.latency_enabled) {
+  if (o.ran) {
     const LatencySummary& lat = r.latency;
     w.key("latency").begin_object();
     w.key("started").value(lat.started);

@@ -185,6 +185,12 @@ TEST(Config, ValidateRejectsBadShapes) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 
   c = SystemConfig::paper();
+  c.num_sms = SystemConfig::kMaxSms;
+  EXPECT_NO_THROW(c.validate());
+  c.num_sms = SystemConfig::kMaxSms + 1;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+
+  c = SystemConfig::paper();
   c.page_bytes = 3000;  // not a power of two
   EXPECT_THROW(c.validate(), std::invalid_argument);
 

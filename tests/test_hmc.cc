@@ -13,7 +13,8 @@ struct HmcHarness {
   HmcHarness()
       : cfg(SystemConfig::small_test()),
         amap(cfg),
-        net(cfg),
+        latency(cfg.latency_sample),
+        net(cfg, latency),
         governor(cfg.governor, 8, 128, 1),
         bufmgr(cfg.ndp_buffers, cfg.num_hmcs),
         ro_cache(cfg.num_hmcs, cfg.nsu, 128),
@@ -30,6 +31,7 @@ struct HmcHarness {
     ctx.energy = &energy;
     ctx.ro_cache = &ro_cache;
     ctx.wta_tracker = &wta;
+    ctx.latency = &latency;
     ctx.image = &image;
     hmc = std::make_unique<Hmc>(0, ctx);
   }
@@ -64,6 +66,7 @@ struct HmcHarness {
   SystemConfig cfg;
   AddressMap amap;
   GlobalMemory gmem;
+  LatencyTracer latency;
   Network net;
   OffloadGovernor governor;
   NdpBufferManager bufmgr;

@@ -6,6 +6,7 @@
 #include "noc/network.h"
 #include "noc/packet.h"
 #include "noc/router.h"
+#include "obs/latency.h"
 
 namespace sndp {
 namespace {
@@ -128,7 +129,8 @@ TEST(Link, TierOrderingUrgentAboveControl) {
 
 TEST(Network, GpuToHmcDirectLink) {
   const SystemConfig cfg = SystemConfig::paper();
-  Network net(cfg);
+  LatencyTracer latency(0);
+  Network net(cfg, latency);
   Packet p;
   p.type = PacketType::kMemRead;
   p.src_node = static_cast<std::uint16_t>(net.gpu_node());
@@ -144,7 +146,8 @@ TEST(Network, GpuToHmcDirectLink) {
 
 TEST(Network, HmcToHmcUsesCubeLinksPerHop) {
   const SystemConfig cfg = SystemConfig::paper();
-  Network net(cfg);
+  LatencyTracer latency(0);
+  Network net(cfg, latency);
   Packet p;
   p.type = PacketType::kRdfResp;
   p.src_node = 0;
@@ -158,7 +161,8 @@ TEST(Network, HmcToHmcUsesCubeLinksPerHop) {
 
 TEST(Network, MoreHopsTakeLonger) {
   const SystemConfig cfg = SystemConfig::paper();
-  Network net1(cfg), net3(cfg);
+  LatencyTracer latency(0);
+  Network net1(cfg, latency), net3(cfg, latency);
   Packet p;
   p.type = PacketType::kRdfResp;
   p.size_bytes = 64;
@@ -171,7 +175,8 @@ TEST(Network, MoreHopsTakeLonger) {
 }
 
 TEST(Network, RejectsBadEndpoints) {
-  Network net(SystemConfig::paper());
+  LatencyTracer latency(0);
+  Network net(SystemConfig::paper(), latency);
   Packet p;
   p.src_node = 2;
   p.dst_node = 2;
@@ -181,7 +186,8 @@ TEST(Network, RejectsBadEndpoints) {
 }
 
 TEST(Network, TrafficAccountingByType) {
-  Network net(SystemConfig::paper());
+  LatencyTracer latency(0);
+  Network net(SystemConfig::paper(), latency);
   Packet p;
   p.type = PacketType::kCacheInval;
   p.src_node = 1;
@@ -197,7 +203,8 @@ TEST(Network, TrafficAccountingByType) {
 }
 
 TEST(Network, IdleAfterDrain) {
-  Network net(SystemConfig::paper());
+  LatencyTracer latency(0);
+  Network net(SystemConfig::paper(), latency);
   EXPECT_TRUE(net.idle());
   Packet p;
   p.type = PacketType::kMemRead;

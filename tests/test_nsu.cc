@@ -28,7 +28,8 @@ Program block_program() {
 }
 
 struct NsuHarness {
-  NsuHarness() : cfg(SystemConfig::small_test()), amap(cfg), net(cfg),
+  NsuHarness() : cfg(SystemConfig::small_test()), amap(cfg), latency(cfg.latency_sample),
+                 net(cfg, latency),
                  governor(cfg.governor, 8, 128, 1), bufmgr(cfg.ndp_buffers, cfg.num_hmcs),
                  ro_cache(cfg.num_hmcs, cfg.nsu, 128), wta(cfg.num_hmcs) {
     image = analyze_and_generate(block_program());
@@ -41,6 +42,7 @@ struct NsuHarness {
     ctx.energy = &energy;
     ctx.ro_cache = &ro_cache;
     ctx.wta_tracker = &wta;
+    ctx.latency = &latency;
     ctx.image = &image;
     nsu = std::make_unique<Nsu>(
         0, ctx, [this](Packet&& p, TimePs) { to_network.push_back(std::move(p)); },
@@ -99,6 +101,7 @@ struct NsuHarness {
   SystemConfig cfg;
   AddressMap amap;
   GlobalMemory gmem;
+  LatencyTracer latency;
   Network net;
   OffloadGovernor governor;
   NdpBufferManager bufmgr;

@@ -15,7 +15,8 @@ struct SmHarness {
                      OffloadMode mode = OffloadMode::kOff)
       : cfg(make_cfg(mode)),
         amap(cfg),
-        net(cfg),
+        latency(cfg.latency_sample),
+        net(cfg, latency),
         governor(cfg.governor, 8, 128, 1),
         bufmgr(cfg.ndp_buffers, cfg.num_hmcs),
         ro_cache(cfg.num_hmcs, cfg.nsu, 128),
@@ -30,6 +31,7 @@ struct SmHarness {
     ctx.energy = &energy;
     ctx.ro_cache = &ro_cache;
     ctx.wta_tracker = &wta;
+    ctx.latency = &latency;
     ctx.image = &image;
     ctx.launch = LaunchParams{cta_threads, num_ctas};
     sm = std::make_unique<Sm>(0, ctx);
@@ -60,6 +62,7 @@ struct SmHarness {
   SystemConfig cfg;
   AddressMap amap;
   GlobalMemory gmem;
+  LatencyTracer latency;
   Network net;
   OffloadGovernor governor;
   NdpBufferManager bufmgr;
